@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "dyncg/collision.hpp"
+#include "dyncg/query_machine.hpp"
 #include "ops/basic.hpp"
 #include "ops/sorting.hpp"
 #include "support/assert.hpp"
@@ -65,10 +66,7 @@ PairSequence closest_pair_sequence(Machine& m, const MotionSystem& system,
   PairFamily pf = build_pair_family(system);
   // Load one pair per PE: a broadcast of the point descriptions plus one
   // concentration route, Theta(sort) — dominated by the envelope below.
-  {
-    std::vector<int> token(m.size(), 0);
-    ops::broadcast(m, token, 0);
-  }
+  ops::charge_broadcast(m);
   for (int k = 0; k < floor_log2(m.size()); ++k) {
     m.charge_exchange(static_cast<unsigned>(k));
   }
@@ -126,15 +124,13 @@ std::vector<AllCollisionEvent> all_collision_times(Machine& m,
 }
 
 Machine allpairs_machine_mesh(const MotionSystem& system) {
-  std::size_t n = system.size();
-  int s = std::max(1, 2 * system.motion_degree());
-  return envelope_machine_mesh(n * (n - 1) / 2, s);
+  return build_machine(
+      plan_query_machine(Query::kPairs, system, "mesh").value());
 }
 
 Machine allpairs_machine_hypercube(const MotionSystem& system) {
-  std::size_t n = system.size();
-  int s = std::max(1, 2 * system.motion_degree());
-  return envelope_machine_hypercube(n * (n - 1) / 2, s);
+  return build_machine(
+      plan_query_machine(Query::kPairs, system, "hypercube").value());
 }
 
 std::pair<std::size_t, std::size_t> brute_force_pair(

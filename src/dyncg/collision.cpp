@@ -52,10 +52,7 @@ CollisionReport collision_times(Machine& m, const MotionSystem& system,
 
   // Broadcast the query trajectory; then PE_j solves d_{0j}(t) = 0 locally
   // (at most k roots per coordinate, Theta(1) work for bounded k, d).
-  {
-    std::vector<int> token(m.size(), 0);
-    ops::broadcast(m, token, 0);
-  }
+  ops::charge_broadcast(m);
   int k = std::max(1, system.motion_degree());
   m.charge_local(static_cast<std::uint64_t>(k) *
                  static_cast<std::uint64_t>(system.dimension()));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dyncg/query_machine.hpp"
 #include "support/assert.hpp"
 #include "support/trace.hpp"
 
@@ -109,13 +110,13 @@ SmallestCube smallest_enclosing_cube(Machine& m, const MotionSystem& system) {
 }
 
 Machine containment_machine_mesh(const MotionSystem& system) {
-  return envelope_machine_mesh(system.size(),
-                               std::max(1, system.motion_degree()));
+  return build_machine(
+      plan_query_machine(Query::kContain, system, "mesh").value());
 }
 
 Machine containment_machine_hypercube(const MotionSystem& system) {
-  return envelope_machine_hypercube(system.size(),
-                                    std::max(1, system.motion_degree()));
+  return build_machine(
+      plan_query_machine(Query::kContain, system, "hypercube").value());
 }
 
 double brute_force_spread(const MotionSystem& system, std::size_t coord,

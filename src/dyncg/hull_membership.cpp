@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "poly/roots.hpp"
+#include "dyncg/query_machine.hpp"
 #include "support/assert.hpp"
 #include "support/trace.hpp"
 
@@ -208,13 +209,13 @@ StatusOr<IntervalSet> try_hull_membership_intervals(Machine& m,
 }
 
 Machine hull_membership_machine_mesh(const MotionSystem& system) {
-  return envelope_machine_mesh(system.size(),
-                               4 * std::max(1, system.motion_degree()));
+  return build_machine(
+      plan_query_machine(Query::kHullwhen, system, "mesh").value());
 }
 
 Machine hull_membership_machine_hypercube(const MotionSystem& system) {
-  return envelope_machine_hypercube(system.size(),
-                                    4 * std::max(1, system.motion_degree()));
+  return build_machine(
+      plan_query_machine(Query::kHullwhen, system, "hypercube").value());
 }
 
 bool brute_force_is_extreme(const MotionSystem& system, std::size_t query,

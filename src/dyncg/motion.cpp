@@ -1,5 +1,6 @@
 #include "dyncg/motion.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -112,26 +113,59 @@ MotionSystem random_motion_system(Rng& rng, std::size_t n, std::size_t dim,
   DYNCG_ASSERT(k >= 0, "negative motion degree");
   std::vector<Trajectory> pts;
   pts.reserve(n);
-  std::vector<std::vector<double>> starts;
+  std::vector<double> starts;  // accepted initial positions, dim per point
+  starts.reserve(n * dim);
+  // Clash check in expected O(1) per candidate instead of a scan of every
+  // previous start.  A clash (d2 < 1e-6) needs first coordinates within
+  // 1e-3, and first coordinates lie in [-4 coeff, 4 coeff]: cut that range
+  // into at most 4n + 16 buckets no narrower than 2e-3, and every possible
+  // clash of a candidate lies in its own bucket or an adjacent one.  Same
+  // predicate, same RNG draws as the quadratic scan.
+  const double span = 8 * coeff;
+  std::size_t buckets = 1;
+  if (dim > 0 && std::isfinite(span) && span > 0) {
+    buckets = static_cast<std::size_t>(std::clamp(
+        std::floor(span / 2e-3), 1.0, 4.0 * static_cast<double>(n) + 16));
+  }
+  const double width = span / static_cast<double>(buckets);
+  auto bucket_of = [&](double x) -> std::size_t {
+    if (buckets == 1) return 0;
+    double b = std::floor((x + 4 * coeff) / width);
+    return static_cast<std::size_t>(
+        std::clamp(b, 0.0, static_cast<double>(buckets - 1)));
+  };
+  // Accepted points chained per bucket, newest first.
+  constexpr std::size_t kEnd = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> head(buckets, kEnd);
+  std::vector<std::size_t> next;
+  next.reserve(n);
+  std::vector<double> start(dim);
   while (pts.size() < n) {
     std::vector<Polynomial> coords;
-    std::vector<double> start;
+    coords.reserve(dim);
     for (std::size_t d = 0; d < dim; ++d) {
       std::vector<double> c(static_cast<std::size_t>(k) + 1);
       for (double& x : c) x = rng.uniform(-coeff, coeff);
       // Spread the constant terms wider so initial positions separate.
       c[0] = rng.uniform(-4 * coeff, 4 * coeff);
-      start.push_back(c[0]);
-      coords.push_back(Polynomial(c));
+      start[d] = c[0];
+      coords.push_back(Polynomial(std::move(c)));
     }
+    const std::size_t home = dim > 0 ? bucket_of(start[0]) : 0;
+    const std::size_t last = std::min(home + 1, buckets - 1);
     bool clash = false;
-    for (const auto& s : starts) {
-      double d2 = 0;
-      for (std::size_t i = 0; i < dim; ++i) d2 += (s[i] - start[i]) * (s[i] - start[i]);
-      if (d2 < 1e-6) clash = true;
+    for (std::size_t b = home > 0 ? home - 1 : 0; b <= last && !clash; ++b) {
+      for (std::size_t j = head[b]; j != kEnd && !clash; j = next[j]) {
+        const double* s = &starts[j * dim];
+        double d2 = 0;
+        for (std::size_t i = 0; i < dim; ++i) d2 += (s[i] - start[i]) * (s[i] - start[i]);
+        clash = d2 < 1e-6;
+      }
     }
     if (clash) continue;
-    starts.push_back(start);
+    next.push_back(head[home]);
+    head[home] = pts.size();
+    starts.insert(starts.end(), start.begin(), start.end());
     pts.push_back(Trajectory(std::move(coords)));
   }
   return MotionSystem(dim, std::move(pts));

@@ -36,10 +36,7 @@ NeighborSequence neighbor_sequence(Machine& m, const MotionSystem& system,
 
   // Step 1: broadcast a description of f_query to every PE.  The trajectory
   // is O(1) words (d coordinates of degree <= k), so this is one broadcast.
-  {
-    std::vector<int> token(m.size(), 0);
-    ops::broadcast(m, token, /*src=*/0);
-  }
+  ops::charge_broadcast(m);
 
   // Step 2: every PE_j holding f_j builds d^2_{query,j}(t) locally.
   m.charge_local(static_cast<std::uint64_t>(system.dimension()) *

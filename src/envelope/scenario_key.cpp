@@ -26,9 +26,9 @@ std::uint64_t bits_of(double v) {
 
 void append_hex(std::string& out, std::uint64_t b) {
   static const char* digits = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += digits[(b >> shift) & 0xf];
-  }
+  char hex[16];
+  for (int i = 15; i >= 0; --i, b >>= 4) hex[i] = digits[b & 0xf];
+  out.append(hex, sizeof(hex));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "machine/other_topologies.hpp"
 
 #include <deque>
+#include <mutex>
 
 #include "support/ackermann.hpp"
 #include "support/assert.hpp"
@@ -42,10 +43,11 @@ CubeConnectedCycles::CubeConnectedCycles(std::uint32_t dims) : dims_(dims) {
   DYNCG_ASSERT(dims >= 2 && (dims & (dims - 1)) == 0,
                "CCC dimension must be a power of two (>= 2) so the PE count "
                "d * 2^d is a power of two");
-  DYNCG_ASSERT(dims <= 8, "CCC too large to simulate (all-pairs BFS)");
+  DYNCG_ASSERT(dims <= kMaxCccDims,
+               "CCC too large to simulate (all-pairs BFS)");
   build_order();
   build_distances();
-  compute_pattern_costs();
+  set_pattern_costs(measure_pattern_costs(*this));
 }
 
 std::size_t CubeConnectedCycles::size() const {
@@ -115,10 +117,10 @@ std::size_t CubeConnectedCycles::rank_of_node(std::size_t v) const {
 // --- Shuffle-exchange ----------------------------------------------------------
 
 ShuffleExchange::ShuffleExchange(std::uint32_t dims) : dims_(dims) {
-  DYNCG_ASSERT(dims >= 1 && dims <= 12,
+  DYNCG_ASSERT(dims >= 1 && dims <= kMaxShuffleDims,
                "shuffle-exchange too large to simulate (all-pairs BFS)");
   build_distances();
-  compute_pattern_costs();
+  set_pattern_costs(measure_pattern_costs(*this));
 }
 
 std::size_t ShuffleExchange::size() const { return std::size_t{1} << dims_; }
@@ -170,10 +172,30 @@ std::size_t ShuffleExchange::rank_of_node(std::size_t v) const { return v; }
 
 // --- factories -------------------------------------------------------------------
 
+namespace {
+
+// One immutable instance per dimension, built on first use.  The table is
+// leaked, like the metrics registry, so no machine outlives its topology
+// during static destruction.
+template <class T, std::uint32_t kMaxDims>
+std::shared_ptr<const Topology> shared_topology(std::uint32_t dims) {
+  struct Slots {
+    std::once_flag once[kMaxDims + 1];
+    std::shared_ptr<const Topology> topo[kMaxDims + 1];
+  };
+  static Slots* slots = new Slots;
+  DYNCG_ASSERT(dims <= kMaxDims, "topology dimension beyond its cap");
+  std::call_once(slots->once[dims],
+                 [&] { slots->topo[dims] = std::make_shared<const T>(dims); });
+  return slots->topo[dims];
+}
+
+}  // namespace
+
 std::shared_ptr<const Topology> make_ccc_for(std::size_t n) {
   for (std::uint32_t d : {2u, 4u, 8u}) {
     if ((static_cast<std::size_t>(d) << d) >= n) {
-      return std::make_shared<CubeConnectedCycles>(d);
+      return shared_topology<CubeConnectedCycles, kMaxCccDims>(d);
     }
   }
   DYNCG_ASSERT(false, "no simulable CCC of the requested size (max 2048)");
@@ -182,8 +204,10 @@ std::shared_ptr<const Topology> make_ccc_for(std::size_t n) {
 
 std::shared_ptr<const Topology> make_shuffle_exchange_for(std::size_t n) {
   std::uint64_t p2 = ceil_pow2(std::max<std::size_t>(n, 2));
-  return std::make_shared<ShuffleExchange>(
-      static_cast<std::uint32_t>(floor_log2(p2)));
+  auto dims = static_cast<std::uint32_t>(floor_log2(p2));
+  DYNCG_ASSERT(dims <= kMaxShuffleDims,
+               "shuffle-exchange too large to simulate (all-pairs BFS)");
+  return shared_topology<ShuffleExchange, kMaxShuffleDims>(dims);
 }
 
 }  // namespace dyncg

@@ -12,13 +12,18 @@
 // Because every algorithm in this library communicates through the
 // topology-priced patterns (offset exchanges, unit shifts, ladders), adding
 // an architecture is exactly what the remark hopes for: define the graph
-// and a linear PE order, measure the pattern costs, and the whole stack —
-// Table 1 ops, Theorem 3.2 envelopes, Sections 4 and 5 — runs unchanged.
+// and a linear PE order, price the patterns, and the whole stack — Table 1
+// ops, Theorem 3.2 envelopes, Sections 4 and 5 — runs unchanged.
 // bench_further_remarks measures what the bounds become.
 //
-// Shortest paths on these graphs have no convenient closed form, so both
-// topologies precompute an all-pairs BFS table at construction; sizes are
-// capped accordingly.
+// Unlike the mesh and the hypercube (machine/topology.hpp), these graphs
+// have no convenient closed form for shortest paths or pattern costs.  Each
+// topology precomputes an all-pairs BFS table at construction and prices
+// its patterns with measure_pattern_costs() over that table, so sizes are
+// capped (kMaxCccDims, kMaxShuffleDims).  Because the admitted dimensions
+// are few, the factories build each one once per process, on first use and
+// thread-safely, and every machine of that shape shares the immutable
+// instance: the BFS is paid once, not per machine.
 namespace dyncg {
 
 // Cube-connected cycles CCC(d): each hypercube node is replaced by a
@@ -94,7 +99,13 @@ class ShuffleExchange final : public Topology {
   std::size_t diameter_ = 0;
 };
 
-// Factories mirroring make_mesh_for / make_hypercube_for.
+// Simulable limits: CCC(8) has 8 * 2^8 = 2048 PEs, SE(12) has 2^12.
+inline constexpr std::uint32_t kMaxCccDims = 8;
+inline constexpr std::uint32_t kMaxShuffleDims = 12;
+
+// Factories mirroring make_mesh_for / make_hypercube_for: the smallest
+// simulable instance with at least n PEs (a DYNCG_ASSERT above the limits),
+// shared process-wide.
 std::shared_ptr<const Topology> make_ccc_for(std::size_t n);
 std::shared_ptr<const Topology> make_shuffle_exchange_for(std::size_t n);
 

@@ -1,5 +1,6 @@
 #include "machine/topology.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -8,34 +9,78 @@
 
 namespace dyncg {
 
-void Topology::compute_pattern_costs() {
-  std::size_t n = size();
+PatternCosts measure_pattern_costs(const Topology& topo) {
+  std::size_t n = topo.size();
   int bits = floor_log2(n);
-  exchange_cost_.assign(static_cast<std::size_t>(bits), 0);
+  PatternCosts costs;
+  costs.exchange.assign(static_cast<std::size_t>(bits), 0);
   for (int k = 0; k < bits; ++k) {
     std::size_t worst = 0;
     for (std::size_t r = 0; r < n; ++r) {
       std::size_t partner = r ^ (std::size_t{1} << k);
-      std::size_t d = shortest_path(node_of_rank(r), node_of_rank(partner));
+      std::size_t d =
+          topo.shortest_path(topo.node_of_rank(r), topo.node_of_rank(partner));
       worst = std::max(worst, d);
     }
-    exchange_cost_[static_cast<std::size_t>(k)] =
+    costs.exchange[static_cast<std::size_t>(k)] =
         static_cast<unsigned>(worst);
   }
   std::size_t worst_shift = 0;
   for (std::size_t r = 0; r + 1 < n; ++r) {
-    worst_shift = std::max(
-        worst_shift, shortest_path(node_of_rank(r), node_of_rank(r + 1)));
+    worst_shift = std::max(worst_shift,
+                           topo.shortest_path(topo.node_of_rank(r),
+                                              topo.node_of_rank(r + 1)));
   }
-  shift_cost_ = static_cast<unsigned>(std::max<std::size_t>(1, worst_shift));
+  costs.shift = static_cast<unsigned>(std::max<std::size_t>(1, worst_shift));
+  return costs;
 }
 
 unsigned Topology::exchange_rounds(unsigned k) const {
-  DYNCG_ASSERT(k < exchange_cost_.size(), "exchange offset out of range");
-  return exchange_cost_[k];
+  DYNCG_ASSERT(k < costs_.exchange.size(), "exchange offset out of range");
+  return costs_.exchange[k];
 }
 
-unsigned Topology::shift_rounds() const { return shift_cost_; }
+namespace {
+
+// The closed forms of the topology.hpp table.
+PatternCosts mesh_pattern_costs(std::uint32_t side, MeshOrder order) {
+  const unsigned m = static_cast<unsigned>(floor_log2(side));
+  PatternCosts costs;
+  costs.exchange.resize(2 * m);
+  for (unsigned k = 0; k < 2 * m; ++k) {
+    unsigned& c = costs.exchange[k];
+    switch (order) {
+      case MeshOrder::kProximity:
+        c = k % 2 == 0 ? 3 * (1u << (k / 2)) - 2 : 1u << ((k + 1) / 2);
+        break;
+      case MeshOrder::kRowMajor:
+        c = k < m ? 1u << k : 1u << (k - m);
+        break;
+      case MeshOrder::kShuffledRowMajor:
+        c = 1u << (k / 2);
+        break;
+      case MeshOrder::kSnake:
+        c = k < m ? 1u << k : k == m ? side : 1u << (k - m);
+        break;
+    }
+  }
+  bool row_jump =
+      order == MeshOrder::kRowMajor || order == MeshOrder::kShuffledRowMajor;
+  costs.shift = row_jump ? side : 1;
+  return costs;
+}
+
+PatternCosts hypercube_pattern_costs(std::uint32_t dims, CubeOrder order) {
+  PatternCosts costs;
+  costs.exchange.resize(dims);
+  for (std::uint32_t k = 0; k < dims; ++k) {
+    costs.exchange[k] = order == CubeOrder::kGray && k > 0 ? 2 : 1;
+  }
+  costs.shift = order == CubeOrder::kGray ? 1 : std::max(1u, dims);
+  return costs;
+}
+
+}  // namespace
 
 // --- Mesh ------------------------------------------------------------------
 
@@ -43,16 +88,7 @@ MeshTopology::MeshTopology(std::uint32_t side, MeshOrder order)
     : side_(side), order_(order) {
   DYNCG_ASSERT(side >= 1 && (side & (side - 1)) == 0,
                "mesh side must be a power of two");
-  std::size_t n = static_cast<std::size_t>(side) * side;
-  rank_to_node_.resize(n);
-  node_to_rank_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    RowCol rc = mesh_rank_to_rc(order, side, r);
-    std::size_t node = static_cast<std::size_t>(rc.row) * side + rc.col;
-    rank_to_node_[r] = node;
-    node_to_rank_[node] = r;
-  }
-  compute_pattern_costs();
+  set_pattern_costs(mesh_pattern_costs(side, order));
 }
 
 std::size_t MeshTopology::size() const {
@@ -89,19 +125,22 @@ std::size_t MeshTopology::diameter() const {
 }
 
 std::size_t MeshTopology::node_of_rank(std::size_t r) const {
-  return rank_to_node_[r];
+  RowCol rc = mesh_rank_to_rc(order_, side_, r);
+  return static_cast<std::size_t>(rc.row) * side_ + rc.col;
 }
 
 std::size_t MeshTopology::rank_of_node(std::size_t v) const {
-  return node_to_rank_[v];
+  RowCol rc{static_cast<std::uint32_t>(v / side_),
+            static_cast<std::uint32_t>(v % side_)};
+  return static_cast<std::size_t>(mesh_rc_to_rank(order_, side_, rc));
 }
 
 // --- Hypercube ---------------------------------------------------------------
 
 HypercubeTopology::HypercubeTopology(std::uint32_t dims, CubeOrder order)
     : dims_(dims), order_(order) {
-  DYNCG_ASSERT(dims <= 24, "hypercube too large to simulate");
-  compute_pattern_costs();
+  DYNCG_ASSERT(dims <= kMaxHypercubeDims, "hypercube too large to simulate");
+  set_pattern_costs(hypercube_pattern_costs(dims, order));
 }
 
 std::size_t HypercubeTopology::size() const {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "machine/indexing.hpp"
@@ -15,23 +16,47 @@
 // in "hypercube normal form": full-machine exchanges between linear-order
 // partners whose ranks differ in bit k (`exchange_rounds(k)`), unit shifts
 // between consecutive ranks (`shift_rounds()`), and row/column sweeps.  Each
-// topology charges its true price for those patterns:
+// topology charges its true price for those patterns: the maximum
+// shortest-path distance over all partner pairs of the pattern.
 //
-//   hypercube, natural order  : exchange(k) = 1 hop (dimension-k link)
-//   hypercube, Gray order     : exchange(k) = Hamming distance <= 2
-//   mesh, shuffled row-major  : exchange(k) = 2^(k/2) hops (a uniform row or
-//                               column shift, fully pipelined, one word per
-//                               link per round)
-//   mesh, proximity (Hilbert) : exchange(k) = max Manhattan distance of the
-//                               partner pairs, Theta(2^(k/2)) by Hilbert
-//                               locality
+// For the mesh and the hypercube that price has a closed form, independent
+// of the machine size (m = log2 side):
 //
-// The costs are not formulas but *measured* at construction: the maximum
-// shortest-path distance over all partner pairs of the pattern.  That keeps
-// the ledger honest for every ordering, including deliberately bad ones used
-// by the ablation benches (e.g. row-major rank shifts that cross a row
-// boundary).
+//   hypercube, natural order  : exchange(k) = 1 (dimension-k link);
+//                               shift = max(1, dims)
+//   hypercube, Gray order     : exchange(k) = 1 for k = 0, else 2 (Hamming
+//                               distance of Gray neighbours); shift = 1
+//   mesh, proximity (Hilbert) : exchange(k) = 3*2^(k/2) - 2 for even k,
+//                               2^((k+1)/2) for odd k; shift = 1
+//   mesh, row-major           : exchange(k) = 2^k for k < m, 2^(k-m) above;
+//                               shift = side (a row boundary)
+//   mesh, shuffled row-major  : exchange(k) = 2^floor(k/2); shift = side
+//   mesh, snake               : exchange(k) = 2^k for k < m, side for k = m,
+//                               2^(k-m) above; shift = 1
+//
+// so a mesh or hypercube is built in O(log n) time and memory: no rank
+// tables, node_of_rank/rank_of_node are computed from the indexing scheme
+// on the fly.  measure_pattern_costs() is the definition the formulas
+// satisfy — an O(n log n) scan of shortest_path over every partner pair —
+// and the test suite checks the two against each other at every mesh side
+// and cube dimension up to 2^16 PEs (2^20 in the slow-labelled test).  The
+// topologies without a closed form (machine/other_topologies.hpp) are
+// priced by that scan once per process.
 namespace dyncg {
+
+class Topology;
+
+// Rounds per communication pattern.
+struct PatternCosts {
+  std::vector<unsigned> exchange;  // per rank bit: r <-> r ^ 2^k
+  unsigned shift = 1;              // unit shift r -> r + 1
+
+  bool operator==(const PatternCosts&) const = default;
+};
+
+// The maximum shortest-path distance over all partner pairs of each
+// pattern (a unit shift costs at least 1).  O(n log n) shortest_path calls.
+PatternCosts measure_pattern_costs(const Topology& topo);
 
 class Topology {
  public:
@@ -53,15 +78,15 @@ class Topology {
   // Rounds for a full-machine exchange between ranks r and r ^ 2^k.
   unsigned exchange_rounds(unsigned k) const;
   // Rounds for a unit shift between consecutive ranks.
-  unsigned shift_rounds() const;
+  unsigned shift_rounds() const { return costs_.shift; }
+  const PatternCosts& pattern_costs() const { return costs_; }
 
  protected:
-  // Called by subclasses after geometry is fixed.
-  void compute_pattern_costs();
+  // Called by subclasses once the geometry is fixed.
+  void set_pattern_costs(PatternCosts costs) { costs_ = std::move(costs); }
 
  private:
-  std::vector<unsigned> exchange_cost_;  // per rank bit
-  unsigned shift_cost_ = 1;
+  PatternCosts costs_;
 };
 
 // Two-dimensional mesh of size side*side (side a power of two), Figure 1.
@@ -84,11 +109,12 @@ class MeshTopology final : public Topology {
  private:
   std::uint32_t side_;
   MeshOrder order_;
-  std::vector<std::size_t> rank_to_node_;
-  std::vector<std::size_t> node_to_rank_;
 };
 
-// Hypercube with 2^dims PEs, Figure 3.
+// Hypercube with 2^dims PEs, Figure 3.  Register files of 2^24 words are
+// the simulation's ceiling.
+inline constexpr std::uint32_t kMaxHypercubeDims = 24;
+
 class HypercubeTopology final : public Topology {
  public:
   explicit HypercubeTopology(std::uint32_t dims,

@@ -50,20 +50,21 @@ void reduce(Machine& m, std::vector<T>& regs, Op op,
   check_block(n, width);
   DYNCG_ASSERT(regs.size() == n, "register file size mismatch");
   int levels = floor_log2(width);
+  if (levels == 0) return;
+  // Double-buffered: each level reads `regs` and writes `next`, then the
+  // two swap, so the register file is copied once rather than per level.
+  std::vector<T> next(regs);
   for (int k = 0; k < levels; ++k) {
     std::size_t stride = std::size_t{1} << k;
     m.charge_exchange(static_cast<unsigned>(k));
     m.charge_local(1);
-    std::vector<T> incoming(regs);
     parallel_for(n, [&](std::size_t r) {
       std::size_t partner = r ^ stride;
       // Order-respecting combine: the lower rank's block comes first.
-      if (r & stride) {
-        regs[r] = op(incoming[partner], regs[r]);
-      } else {
-        regs[r] = op(regs[r], incoming[partner]);
-      }
+      next[r] = (r & stride) ? op(regs[partner], regs[r])
+                             : op(regs[r], regs[partner]);
     }, kRegisterLoopGrain);
+    regs.swap(next);
   }
 }
 
@@ -91,6 +92,25 @@ void broadcast(Machine& m, std::vector<T>& regs, std::size_t src,
   for (std::size_t r = 0; r < n; ++r) regs[r] = tmp[r].value;
 }
 
+// The charges of broadcast() without its data movement, for steps whose
+// only output is the price — the "broadcast f_query to every PE" of
+// Section 4, where the O(1)-word descriptor is read from the system
+// directly.  Same spans, same charge_exchange/charge_local sequence as the
+// reduce inside broadcast(), so the ledger and any fault penalties match a
+// broadcast of real registers exactly.
+inline void charge_broadcast(Machine& m, std::size_t width = 0) {
+  TRACE_SPAN_COST("ops.broadcast", m.ledger());
+  std::size_t n = m.size();
+  if (width == 0) width = n;
+  check_block(n, width);
+  TRACE_SPAN_COST("ops.reduce", m.ledger());
+  int levels = floor_log2(width);
+  for (int k = 0; k < levels; ++k) {
+    m.charge_exchange(static_cast<unsigned>(k));
+    m.charge_local(1);
+  }
+}
+
 // Parallel prefix (inclusive scan) in rank order within each width-block.
 // The classic hypercube ladder: each PE carries (prefix, block total);
 // at level k the totals are exchanged across the 2^k boundary and the upper
@@ -101,22 +121,25 @@ void prefix(Machine& m, std::vector<T>& regs, Op op, std::size_t width = 0) {
   std::size_t n = m.size();
   if (width == 0) width = n;
   check_block(n, width);
-  std::vector<T> total = regs;
   int levels = floor_log2(width);
+  if (levels == 0) return;
+  // Block totals, double-buffered like reduce().
+  std::vector<T> total = regs;
+  std::vector<T> next = total;
   for (int k = 0; k < levels; ++k) {
     std::size_t stride = std::size_t{1} << k;
     m.charge_exchange(static_cast<unsigned>(k));
     m.charge_local(1);
-    std::vector<T> incoming(total);
     parallel_for(n, [&](std::size_t r) {
       std::size_t partner = r ^ stride;
       if (r & stride) {
-        regs[r] = op(incoming[partner], regs[r]);
-        total[r] = op(incoming[partner], total[r]);
+        regs[r] = op(total[partner], regs[r]);
+        next[r] = op(total[partner], total[r]);
       } else {
-        total[r] = op(total[r], incoming[partner]);
+        next[r] = op(total[r], total[partner]);
       }
     }, kRegisterLoopGrain);
+    total.swap(next);
   }
 }
 

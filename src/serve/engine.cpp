@@ -12,9 +12,7 @@
 #include "dyncg/proximity.hpp"
 #include "envelope/scenario_key.hpp"
 #include "machine/machine.hpp"
-#include "machine/other_topologies.hpp"
 #include "steady/machine_geometry.hpp"
-#include "support/ackermann.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -23,14 +21,6 @@ namespace dyncg {
 namespace serve {
 
 namespace {
-
-Machine make_machine(const std::string& name, std::size_t capacity) {
-  if (name == "hypercube") return Machine(make_hypercube_for(capacity));
-  if (name == "ccc") return Machine(make_ccc_for(capacity));
-  if (name == "shuffle") return Machine(make_shuffle_exchange_for(capacity));
-  DYNCG_ASSERT(name == "mesh", "unvalidated machine name reached the engine");
-  return Machine(make_mesh_for(capacity));
-}
 
 // Per-request distributions.  The simulated figures are ledger deltas —
 // pure functions of the scenario, so their histograms are deterministic at
@@ -75,29 +65,11 @@ StatusOr<CachedResult> run_query(const Request& req) {
   DYNCG_ASSERT(req.system.has_value(), "run_query needs a scenario");
   const MotionSystem& sys = *req.system;
 
-  // Machine sizing mirrors the corresponding dyncg_cli cmd_* exactly.
-  Machine m = [&] {
-    switch (req.op) {
-      case Op::kNeighbor: {
-        int s = std::max(1, 2 * sys.motion_degree());
-        return make_machine(req.machine,
-                            lambda_upper_bound(ceil_pow2(sys.size()), s));
-      }
-      case Op::kPairs:
-        return req.machine == "mesh" ? allpairs_machine_mesh(sys)
-                                     : allpairs_machine_hypercube(sys);
-      case Op::kCollisions:
-        return make_machine(req.machine, sys.size());
-      case Op::kHullwhen:
-        return req.machine == "mesh" ? hull_membership_machine_mesh(sys)
-                                     : hull_membership_machine_hypercube(sys);
-      case Op::kContain:
-        return req.machine == "mesh" ? containment_machine_mesh(sys)
-                                     : containment_machine_hypercube(sys);
-      default:  // kSteady; ping/stats never reach the engine
-        return make_machine(req.machine, sys.size());
-    }
-  }();
+  // The machine dyncg_cli builds for the same scenario: both plan through
+  // dyncg/query_machine.hpp.
+  StatusOr<MachinePlan> plan = plan_request_machine(req);
+  if (!plan.is_ok()) return plan.status();
+  Machine m = build_machine(plan.value());
   if (req.has_faults) m.set_fault_plan(&req.faults);
 
   // Request-tagged span with the machine's ledger attached, so a trace of

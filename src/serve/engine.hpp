@@ -14,7 +14,8 @@
 // documentation footnote.
 //
 // run_query is a pure function of the request: it builds its own Machine,
-// arms the request's own fault plan, and writes no shared state, so the
+// arms the request's own fault plan, and writes no shared state (CCC and
+// shuffle-exchange topologies are shared, but immutable once built), so the
 // server may execute distinct requests of a batch concurrently
 // (docs/SERVING.md#batching).
 namespace dyncg {

@@ -7,6 +7,7 @@
 #include "envelope/scenario_key.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "support/trace.hpp"
 
 namespace dyncg {
 namespace serve {
@@ -297,7 +298,12 @@ void build_key(Request* r) {
     key += r->faults_spec;
   }
   key += "|s";
-  append_canonical(key, *r->system);
+  // 16 hex digits per coefficient plus a separator per coordinate.
+  const MotionSystem& sys = *r->system;
+  key.reserve(key.size() + 24 +
+              sys.size() * sys.dimension() *
+                  (16 * static_cast<std::size_t>(sys.motion_degree() + 1) + 1));
+  append_canonical(key, sys);
   r->key = std::move(key);
   r->fingerprint =
       fingerprint_bytes(kFingerprintSeed, r->key.data(), r->key.size());
@@ -337,6 +343,22 @@ const char* op_name(Op op) {
       return "fleet_close";
   }
   return "?";
+}
+
+StatusOr<MachinePlan> plan_request_machine(const Request& req) {
+  DYNCG_ASSERT(req.system.has_value(), "planning needs a scenario");
+  Query query = Query::kSteady;
+  switch (req.op) {
+    case Op::kNeighbor: query = Query::kNeighbor; break;
+    case Op::kPairs: query = Query::kPairs; break;
+    case Op::kCollisions: query = Query::kCollisions; break;
+    case Op::kHullwhen: query = Query::kHullwhen; break;
+    case Op::kContain: query = Query::kContain; break;
+    case Op::kSteady: query = Query::kSteady; break;
+    default:
+      return Status::invalid_argument("op carries no scenario to run");
+  }
+  return plan_query_machine(query, *req.system, req.machine);
 }
 
 StatusOr<Request> parse_request(const std::string& line) {
@@ -538,27 +560,36 @@ StatusOr<Request> parse_request(const std::string& line) {
   if (is_admin_op(r.op) || is_fleet_op(r.op)) return r;
 
   // Materialize the scenario (absent scenario = CLI defaults).
-  if (r.op == Op::kSteady) {
-    if (sc.inline_points || sc.has_d) {
-      return bad("op \"steady\" takes generator scenarios only "
-                 "('seed'/'n'/'k'; the survey builds diverging motion "
-                 "itself)");
+  if (r.op == Op::kSteady && (sc.inline_points || sc.has_d)) {
+    return bad("op \"steady\" takes generator scenarios only "
+               "('seed'/'n'/'k'; the survey builds diverging motion "
+               "itself)");
+  }
+  {
+    TRACE_SPAN("scenario.generate");
+    if (r.op == Op::kSteady) {
+      Rng rng(sc.seed);
+      r.system = diverging_motion_system(rng, sc.n, std::max(1, sc.k));
+    } else if (sc.inline_points) {
+      StatusOr<MotionSystem> sys =
+          MotionSystem::try_create(sc.d, std::move(sc.points));
+      if (!sys.is_ok()) return sys.status();
+      r.system = std::move(sys).value();
+    } else {
+      Rng rng(sc.seed);
+      r.system = random_motion_system(rng, sc.n, sc.d, sc.k);
     }
-    Rng rng(sc.seed);
-    r.system = diverging_motion_system(rng, sc.n, std::max(1, sc.k));
-  } else if (sc.inline_points) {
-    StatusOr<MotionSystem> sys =
-        MotionSystem::try_create(sc.d, std::move(sc.points));
-    if (!sys.is_ok()) return sys.status();
-    r.system = std::move(sys).value();
-  } else {
-    Rng rng(sc.seed);
-    r.system = random_motion_system(rng, sc.n, sc.d, sc.k);
   }
   if (r.op != Op::kPairs && r.op != Op::kContain &&
       r.query >= r.system->size()) {
     return bad("query index " + std::to_string(r.query) +
                " out of range [0, " + std::to_string(r.system->size()) + ")");
+  }
+  // Admission: a machine no topology can simulate is refused here, with
+  // the limit in the message, before anything is built for it.
+  if (StatusOr<MachinePlan> plan = plan_request_machine(r); !plan.is_ok()) {
+    return bad(std::string("op \"") + op_name(r.op) + "\" on machine \"" +
+               r.machine + "\": " + plan.status().message());
   }
   if (r.has_box) {
     // The CLI rule: missing trailing dimensions repeat the last one.

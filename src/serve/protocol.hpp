@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dyncg/motion.hpp"
+#include "dyncg/query_machine.hpp"
 #include "machine/cost.hpp"
 #include "machine/faults.hpp"
 #include "support/status.hpp"
@@ -129,6 +130,11 @@ struct Request {
 // pinned codes: kParseError for malformed JSON or fault specs,
 // kInvalidArgument for unknown/ill-typed/out-of-range fields.
 StatusOr<Request> parse_request(const std::string& line);
+
+// The machine a scenario request runs on (dyncg/query_machine.hpp) — the
+// engine builds it; parse_request refuses the request with
+// kInvalidArgument when no topology can simulate it.
+StatusOr<MachinePlan> plan_request_machine(const Request& req);
 
 // One computed answer, exactly what the cache stores: the CLI's stdout for
 // the same scenario minus its trailing cost line (trailing '\n' kept), plus

@@ -98,10 +98,7 @@ std::size_t machine_steady_neighbor(Machine& m, const MotionSystem& system,
   DYNCG_ASSERT(n >= 2 && n <= m.size(), "need 2 <= n <= P points");
   // Broadcast f_query, build d^2 germs locally, one semigroup reduction
   // with the Lemma 5.1 comparator.
-  {
-    std::vector<int> token(m.size(), 0);
-    ops::broadcast(m, token, 0);
-  }
+  ops::charge_broadcast(m);
   m.charge_local(static_cast<std::uint64_t>(system.motion_degree()) + 1);
   struct Cand {
     bool live = false;
@@ -140,10 +137,7 @@ bool machine_steady_is_hull_vertex(Machine& m, const MotionSystem& system,
   DYNCG_ASSERT(n <= m.size(), "machine smaller than the system");
   if (n <= 2) return true;
   // Broadcast f_query; each PE forms its direction germ (dx_j, dy_j).
-  {
-    std::vector<int> token(m.size(), 0);
-    ops::broadcast(m, token, 0);
-  }
+  ops::charge_broadcast(m);
   m.charge_local(static_cast<std::uint64_t>(system.motion_degree()) + 2);
 
   struct Dir {

@@ -8,6 +8,7 @@
 #include "dyncg/motion.hpp"
 #include "dyncg/motion_io.hpp"
 #include "dyncg/proximity.hpp"
+#include "envelope/scenario_key.hpp"
 #include "support/rng.hpp"
 
 namespace dyncg {
@@ -38,6 +39,50 @@ TEST(Motion, TrajectoryBasics) {
   EXPECT_DOUBLE_EQ(d2(2.0), 25.0 + 16.0);
 }
 
+
+// random_motion_system's bucketed clash check must reproduce the quadratic
+// scan it replaced draw for draw.  Fingerprints of the generated system,
+// folded with the generator's next draw (so the number of draws consumed,
+// i.e. the rejected clashes, is pinned too), recorded with the quadratic
+// scan.  The d = 1 cases and the small-`coeff` cases reject many clashes.
+TEST(Motion, RandomSystemFingerprintsArePinned) {
+  struct Case {
+    std::uint64_t seed;
+    std::size_t n, dim;
+    int k;
+    double coeff;
+    std::uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {1, 300, 1, 2, 1, 0xbc9144533d42bca2ull},
+      {1, 300, 2, 3, 1, 0xaa00bc1b3b8391c1ull},
+      {1, 300, 3, 0, 1, 0x0a068b30b3b8f7afull},
+      {1, 300, 4, 1, 1, 0xc6a6dc4022c43dafull},
+      {1, 300, 5, 2, 1, 0x5af4ee15d9af2803ull},
+      {7, 300, 1, 0, 1, 0x3c66838cfcf0dfd3ull},
+      {7, 300, 2, 1, 1, 0x6e788f6f2a4f72fdull},
+      {7, 300, 3, 2, 1, 0x91d129941c08262full},
+      {7, 300, 4, 3, 1, 0xdf4c9242185e5ee5ull},
+      {7, 300, 5, 0, 1, 0x9df2622da6d2b30aull},
+      {42, 300, 1, 3, 1, 0xf5cdfd435f86f193ull},
+      {42, 300, 2, 0, 1, 0xa8bd4e4ae7a4d607ull},
+      {42, 300, 3, 1, 1, 0xef065479d2f4c085ull},
+      {42, 300, 4, 2, 1, 0xb40ed3c15688e4e8ull},
+      {42, 300, 5, 3, 1, 0xa2b145ff123a402cull},
+      {3, 200, 2, 2, 0.01, 0xf564915c7743d8c6ull},   // 8 clashes
+      {5, 30, 1, 1, 0.05, 0x653638b8adc222c2ull},    // 4 clashes
+      {9, 60, 3, 0, 0.001, 0x83b07d665bb5f482ull},   // 11 clashes
+      {11, 4096, 2, 2, 1, 0x5b34e04d21e1d1c6ull},
+      {13, 2000, 1, 1, 1, 0x27506cd13a4a9625ull},    // 711 clashes
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    MotionSystem sys = random_motion_system(rng, c.n, c.dim, c.k, c.coeff);
+    EXPECT_EQ(fingerprint_mix(fingerprint(sys), rng.next_u64()),
+              c.fingerprint)
+        << "seed " << c.seed << " n " << c.n << " d " << c.dim;
+  }
+}
 
 TEST(MotionIo, RoundTripPreservesTrajectories) {
   Rng rng(83);

@@ -147,6 +147,48 @@ TEST(HypercubeTopology, StructureAndCosts) {
   for (unsigned k = 0; k < 4; ++k) EXPECT_EQ(nat.exchange_rounds(k), 1u);
 }
 
+// The closed-form pattern costs are the measured ones: every order, every
+// size up to 2^16 PEs (tests/test_pattern_costs_slow.cpp goes to 2^20).
+TEST(PatternCosts, MeshClosedFormsMatchMeasuredScan) {
+  for (MeshOrder order : {MeshOrder::kRowMajor, MeshOrder::kShuffledRowMajor,
+                          MeshOrder::kSnake, MeshOrder::kProximity}) {
+    for (std::uint32_t side = 1; side <= 256; side *= 2) {
+      MeshTopology mesh(side, order);
+      EXPECT_EQ(mesh.pattern_costs(), measure_pattern_costs(mesh))
+          << mesh.name();
+    }
+  }
+}
+
+TEST(PatternCosts, HypercubeClosedFormsMatchMeasuredScan) {
+  for (CubeOrder order : {CubeOrder::kNatural, CubeOrder::kGray}) {
+    for (std::uint32_t dims = 0; dims <= 16; ++dims) {
+      HypercubeTopology cube(dims, order);
+      EXPECT_EQ(cube.pattern_costs(), measure_pattern_costs(cube))
+          << cube.name();
+    }
+  }
+}
+
+TEST(PatternCosts, RankMapsAreInverseIndexings) {
+  // No rank tables: node_of_rank / rank_of_node evaluate the indexing
+  // scheme directly and stay mutually inverse.
+  for (MeshOrder order : {MeshOrder::kRowMajor, MeshOrder::kShuffledRowMajor,
+                          MeshOrder::kSnake, MeshOrder::kProximity}) {
+    MeshTopology mesh(16, order);
+    for (std::size_t r = 0; r < mesh.size(); ++r) {
+      RowCol rc = mesh_rank_to_rc(order, 16, r);
+      ASSERT_EQ(mesh.node_of_rank(r), std::size_t{rc.row} * 16 + rc.col);
+      ASSERT_EQ(mesh.rank_of_node(mesh.node_of_rank(r)), r);
+    }
+  }
+  HypercubeTopology gray(8, CubeOrder::kGray);
+  for (std::size_t r = 0; r < gray.size(); ++r) {
+    ASSERT_EQ(gray.node_of_rank(r), gray_encode(r));
+    ASSERT_EQ(gray.rank_of_node(gray.node_of_rank(r)), r);
+  }
+}
+
 TEST(Factories, PaperSizes) {
   // Section 3: mesh of size 4^ceil(log4 n), hypercube of size 2^ceil(log2 n).
   auto mesh = make_mesh_for(5);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "machine/faults.hpp"
 #include "ops/basic.hpp"
 #include "ops/crcw.hpp"
 #include "ops/sorting.hpp"
@@ -82,6 +83,51 @@ TEST(OpsBroadcast, FromAnySource) {
     ops::broadcast(m, v, src);
     for (long x : v) EXPECT_EQ(x, 42);
   }
+}
+
+// charge_broadcast prices exactly what a broadcast of real registers
+// charges: the same ledger, the same fault penalties and counters, and the
+// same ops.broadcast > ops.reduce span tree with the same cost deltas.
+TEST(OpsBroadcast, ChargeOnlyMatchesDataBroadcast) {
+  FaultPlan plan = FaultPlan::parse("link:0-1@0..,drop:2-3@4").value();
+  struct Run {
+    CostSnapshot cost;
+    std::string faults;
+    std::vector<std::string> spans;
+  };
+  auto run = [&](bool mesh, bool faulted, std::size_t width,
+                 bool charge_only) {
+    Machine m = mesh ? Machine::mesh_for(64) : Machine::hypercube_for(64);
+    if (faulted) m.set_fault_plan(&plan);
+    trace::clear();
+    if (charge_only) {
+      ops::charge_broadcast(m, width);
+    } else {
+      std::vector<int> token(m.size(), 0);
+      ops::broadcast(m, token, 0, width);
+    }
+    Run out{m.ledger().snapshot(), m.fault_report(), {}};
+    for (const trace::Event& e : trace::snapshot()) {
+      out.spans.push_back(e.name + "@" + std::to_string(e.depth) + " " +
+                          e.cost.to_string());
+    }
+    return out;
+  };
+  trace::enable();
+  for (bool mesh : {true, false}) {
+    for (bool faulted : {false, true}) {
+      for (std::size_t width : {0u, 1u, 4u, 64u}) {
+        Run data = run(mesh, faulted, width, false);
+        Run charged = run(mesh, faulted, width, true);
+        EXPECT_EQ(charged.cost, data.cost);
+        EXPECT_EQ(charged.faults, data.faults);
+        EXPECT_EQ(charged.spans, data.spans);
+        EXPECT_GE(charged.spans.size(), 2u);  // plus fault.recover spans
+      }
+    }
+  }
+  trace::disable();
+  trace::clear();
 }
 
 TEST(OpsPrefix, InclusiveScan) {

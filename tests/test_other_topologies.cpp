@@ -167,6 +167,57 @@ TEST(OtherTopologies, Factories) {
   EXPECT_EQ(make_shuffle_exchange_for(100)->size(), 128u);
 }
 
+TEST(OtherTopologies, FactoriesShareOneInstancePerSize) {
+  EXPECT_EQ(make_ccc_for(9).get(), make_ccc_for(64).get());
+  EXPECT_NE(make_ccc_for(8).get(), make_ccc_for(9).get());
+  EXPECT_EQ(make_shuffle_exchange_for(65).get(),
+            make_shuffle_exchange_for(128).get());
+  EXPECT_NE(make_shuffle_exchange_for(64).get(),
+            make_shuffle_exchange_for(65).get());
+}
+
+// The measured scan prices CCC and shuffle-exchange exactly as before the
+// mesh and hypercube moved to closed forms, at every simulable dimension.
+// CCC(2) records 65535 (unreachable) for exchanges across its cube links:
+// CubeConnectedCycles::neighbors drops the cube edge when d = 2, a known
+// defect kept as-is because fixing it changes ledgers (ROADMAP.md).
+TEST(OtherTopologies, ScanCostsArePinned) {
+  struct Pinned {
+    std::uint32_t dims;
+    unsigned shift;
+    std::vector<unsigned> exchange;
+  };
+  const Pinned ccc[] = {
+      {2, 65535, {1, 65535, 65535}},
+      {4, 5, {1, 2, 4, 6, 6, 6}},
+      {8, 9, {1, 2, 4, 8, 10, 10, 10, 10, 10, 10, 10}},
+  };
+  for (const Pinned& p : ccc) {
+    CubeConnectedCycles topo(p.dims);
+    EXPECT_EQ(topo.pattern_costs(), (PatternCosts{p.exchange, p.shift}))
+        << topo.name();
+  }
+  const Pinned se[] = {
+      {1, 1, {1}},
+      {2, 1, {1, 2}},
+      {3, 2, {1, 2, 2}},
+      {4, 4, {1, 3, 3, 3}},
+      {5, 6, {1, 3, 5, 5, 3}},
+      {6, 8, {1, 3, 5, 7, 5, 3}},
+      {7, 10, {1, 3, 5, 7, 7, 5, 3}},
+      {8, 12, {1, 3, 5, 7, 9, 7, 5, 3}},
+      {9, 14, {1, 3, 5, 7, 9, 9, 7, 5, 3}},
+      {10, 16, {1, 3, 5, 7, 9, 11, 9, 7, 5, 3}},
+      {11, 18, {1, 3, 5, 7, 9, 11, 11, 9, 7, 5, 3}},
+      {12, 20, {1, 3, 5, 7, 9, 11, 13, 11, 9, 7, 5, 3}},
+  };
+  for (const Pinned& p : se) {
+    const Topology& topo = *make_shuffle_exchange_for(std::size_t{1} << p.dims);
+    EXPECT_EQ(topo.pattern_costs(), (PatternCosts{p.exchange, p.shift}))
+        << topo.name();
+  }
+}
+
 TEST(OtherTopologies, FabricRunsOnThem) {
   // Hop-by-hop validation: the queued router works on arbitrary topologies
   // through the generic next-hop... the dimension-order router only knows

@@ -10,6 +10,7 @@
 
 #include "dyncg/allpairs.hpp"
 #include "envelope/parallel_envelope.hpp"
+#include "serve/engine.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -183,6 +184,41 @@ TEST(ParallelDeterminism, ParallelReduceMatchesSerialFold) {
     EXPECT_EQ(serial, par) << "threads=" << t;
   }
   set_host_threads(1);
+}
+
+// The serving engine runs distinct queries of a batch on pool threads at
+// once, and CCC / shuffle-exchange topologies are built once per process
+// and shared.  Four pool threads race to the first use of one CCC shape
+// and one shuffle-exchange shape (no other test here builds them); every
+// answer and ledger must equal a serial run's, byte for byte.
+TEST(ParallelDeterminism, ConcurrentRunQueryOnSharedTopologies) {
+  std::vector<serve::Request> reqs;
+  for (int i = 0; i < 4; ++i) {
+    // Even indexes CCC, odd shuffle-exchange: each of the four workers'
+    // two-request chunks starts on the CCC shape.
+    for (const char* shape :
+         {R"("op":"collisions","machine":"ccc","scenario":{"n":50,"k":1,)",
+          R"("op":"neighbor","machine":"shuffle","scenario":{"n":40,"k":1,)"}) {
+      std::string line = std::string("{") + shape + "\"seed\":" +
+                         std::to_string(i + 1) + "}}";
+      StatusOr<serve::Request> r = serve::parse_request(line);
+      ASSERT_TRUE(r.is_ok()) << line << ": " << r.status().to_string();
+      reqs.push_back(std::move(r).value());
+    }
+  }
+  auto answer = [](const serve::Request& r) {
+    serve::CachedResult res = serve::run_query(r).value();
+    return res.text + res.cost.to_string() + res.topology + " " +
+           std::to_string(res.pes);
+  };
+  std::vector<std::string> concurrent(reqs.size());
+  ThreadPool pool(4);
+  pool.run(reqs.size(), [&](std::size_t lo, std::size_t hi, unsigned) {
+    for (std::size_t i = lo; i < hi; ++i) concurrent[i] = answer(reqs[i]);
+  });
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(concurrent[i], answer(reqs[i])) << "request " << i;
+  }
 }
 
 }  // namespace

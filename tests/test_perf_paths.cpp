@@ -5,8 +5,10 @@
 // pure representation changes: every one must produce byte-identical
 // results to the allocating forms it replaced, under every thread count
 // (this suite is in the DYNCG_THREADS ctest matrix) and under recoverable
-// fault plans.  The last test pins the "steady state allocates nothing"
-// claim directly with a counting global operator new.
+// fault plans.  A counting global operator new pins the allocation claims
+// directly: a warmed-up fabric round allocates nothing, and building a
+// mesh or hypercube machine allocates the same handful of blocks at 2^24
+// PEs as at 16.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 
 #include "machine/fabric.hpp"
 #include "machine/faults.hpp"
+#include "machine/machine.hpp"
 #include "machine/topology.hpp"
 #include "pieces/piecewise.hpp"
 #include "poly/roots.hpp"
@@ -146,6 +149,29 @@ TEST(PerfPathsFabric, SteadyStateDeliverAllocatesNothing) {
 }
 
 // --- Route cache: pure memoization ----------------------------------------
+
+// --- Table-free topologies ------------------------------------------------
+
+// Closed-form pattern costs and on-the-fly rank maps: a mesh or hypercube
+// Machine holds nothing proportional to its PE count, so the 2^24-PE build
+// makes exactly as many allocations as the 16-PE one, and only a few.
+TEST(PerfPathsMachine, MeshAndHypercubeBuildsAllocateO1) {
+  auto allocations = [](std::size_t pes, bool mesh) {
+    std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    {
+      Machine m = mesh ? Machine::mesh_for(pes) : Machine::hypercube_for(pes);
+    }
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+  allocations(16, true);  // first Machine resolves DYNCG_FAULTS once
+  const std::size_t big = std::size_t{1} << 24;
+  for (bool mesh : {true, false}) {
+    std::uint64_t small_count = allocations(16, mesh);
+    std::uint64_t big_count = allocations(big, mesh);
+    EXPECT_EQ(big_count, small_count) << (mesh ? "mesh" : "hypercube");
+    EXPECT_LE(big_count, 4u) << (mesh ? "mesh" : "hypercube");
+  }
+}
 
 TEST(PerfPathsRouteCache, MatchesRouteAvoidingAcrossEpochs) {
   MeshTopology mesh(4);

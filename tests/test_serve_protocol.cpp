@@ -12,6 +12,7 @@
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
 #include "support/status.hpp"
+#include "support/trace.hpp"
 
 // Protocol tests for the serving layer (docs/SERVING.md): parse/validate
 // round-trips, canonical cache keys, FIFO cache counter semantics, and
@@ -147,6 +148,85 @@ TEST(ServeParse, RejectsOutOfRangeScenarios) {
   EXPECT_FALSE(
       parse("{\"op\":\"neighbor\",\"scenario\":{\"n\":4},\"query\":4}")
           .is_ok());
+}
+
+TEST(ServeParse, RejectsMachinesBeyondTopologyLimits) {
+  // The machine is planned at parse time (dyncg/query_machine.hpp): one no
+  // topology can simulate is INVALID_ARGUMENT naming the limit, and no
+  // machine is built for it.
+  struct Case {
+    const char* line;
+    const char* limit;
+  };
+  const Case rejected[] = {
+      {R"({"op":"neighbor","machine":"ccc","scenario":{"n":256}})", "2048"},
+      {R"({"op":"neighbor","machine":"ccc","scenario":{"n":129}})", "2048"},
+      {R"({"op":"collisions","machine":"ccc","scenario":{"n":2049}})", "2048"},
+      {R"({"op":"steady","machine":"ccc","scenario":{"n":2049}})", "2048"},
+      {R"({"op":"neighbor","machine":"shuffle","scenario":{"n":512}})", "4096"},
+      {R"({"op":"neighbor","machine":"shuffle","scenario":{"n":257}})", "4096"},
+      {R"({"op":"pairs","machine":"hypercube","scenario":{"n":1449}})",
+       "16777216"},
+      {R"({"op":"pairs","scenario":{"n":1}})", "two points"},
+  };
+  for (const Case& c : rejected) {
+    StatusOr<Request> r = parse(c.line);
+    ASSERT_FALSE(r.is_ok()) << c.line;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.line;
+    EXPECT_NE(r.status().message().find(c.limit), std::string::npos)
+        << r.status().message();
+  }
+  // The largest admitted requests at those limits plan the largest
+  // instances.
+  struct Admitted {
+    const char* line;
+    std::size_t pes;
+  };
+  const Admitted admitted[] = {
+      {R"({"op":"neighbor","machine":"ccc","scenario":{"n":128}})", 2048},
+      {R"({"op":"collisions","machine":"ccc","scenario":{"n":2048}})", 2048},
+      {R"({"op":"neighbor","machine":"shuffle","scenario":{"n":256}})", 4096},
+      {R"({"op":"pairs","machine":"hypercube","scenario":{"n":1448}})",
+       std::size_t{1} << 24},
+  };
+  for (const Admitted& a : admitted) {
+    StatusOr<Request> r = parse(a.line);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(plan_request_machine(r.value()).value().pes, a.pes) << a.line;
+  }
+}
+
+TEST(ServeEngine, PlannedMachineIsTheOneRunQueryBuilds) {
+  for (const char* machine : {"mesh", "hypercube", "ccc", "shuffle"}) {
+    for (const char* op :
+         {"neighbor", "pairs", "collisions", "hullwhen", "contain", "steady"}) {
+      std::string line = std::string("{\"op\":\"") + op +
+                         "\",\"machine\":\"" + machine +
+                         "\",\"scenario\":{\"n\":6,\"k\":1}}";
+      StatusOr<Request> parsed = parse(line);
+      // pairs/hullwhen/contain are served on mesh and hypercube only.
+      if (!parsed.is_ok()) continue;
+      const Request& r = parsed.value();
+      StatusOr<CachedResult> res = run_query(r);
+      ASSERT_TRUE(res.is_ok()) << line << ": " << res.status().to_string();
+      EXPECT_EQ(res.value().pes, plan_request_machine(r).value().pes) << line;
+    }
+  }
+}
+
+TEST(ServeEngine, SetUpSpansRecorded) {
+  // Per-query set-up is attributed: scenario materialization in
+  // parse_request and machine construction in run_query.
+  trace::clear();
+  trace::enable();
+  Request r = parse(R"({"op":"neighbor","scenario":{"n":6,"k":1}})").value();
+  ASSERT_TRUE(run_query(r).is_ok());
+  trace::disable();
+  std::vector<std::string> names;
+  for (const trace::Event& e : trace::snapshot()) names.push_back(e.name);
+  trace::clear();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "scenario.generate"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "machine.build"), 1);
 }
 
 TEST(ServeParse, RejectsMixedAndMisappliedFields) {

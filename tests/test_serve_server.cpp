@@ -174,6 +174,27 @@ TEST(ServeAdmission, LineCapBoundary) {
   EXPECT_EQ(status_of(c.round_trip("{\"op\":\"ping\"}")), "OK");
 }
 
+TEST(ServeAdmission, MachineBeyondTopologyLimitAnsweredNotFatal) {
+  TestServer ts(ServerOptions{});
+  Client c(ts.port());
+  // neighbor on CCC at n = 256 needs more than CCC's 2048 PEs; shuffle at
+  // n = 512 more than shuffle-exchange's 2^12.  Each is refused at parse
+  // time, and the same connection keeps being served.
+  for (const char* machine : {"ccc", "shuffle"}) {
+    std::string n = std::string(machine) == "ccc" ? "256" : "512";
+    std::string resp = c.round_trip(
+        std::string("{\"op\":\"neighbor\",\"machine\":\"") + machine +
+        "\",\"scenario\":{\"n\":" + n + "}}");
+    EXPECT_EQ(status_of(resp), "INVALID_ARGUMENT") << resp;
+    EXPECT_NE(resp.find("simulates at most"), std::string::npos) << resp;
+    std::string next = c.round_trip(
+        std::string("{\"op\":\"collisions\",\"machine\":\"") + machine +
+        "\",\"scenario\":{\"n\":8}}");
+    EXPECT_EQ(status_of(next), "OK") << next;
+  }
+  EXPECT_EQ(status_of(c.round_trip("{\"op\":\"ping\"}")), "OK");
+}
+
 TEST(ServeAdmission, QueueCapShedsOldestFirst) {
   ServerOptions opt;
   opt.queue_cap = 4;

@@ -61,9 +61,9 @@
 #include "dyncg/containment.hpp"
 #include "dyncg/hull_membership.hpp"
 #include "dyncg/proximity.hpp"
+#include "dyncg/query_machine.hpp"
 #include "envelope/parallel_envelope.hpp"
 #include "machine/faults.hpp"
-#include "machine/other_topologies.hpp"
 #include "pieces/envelope_serial.hpp"
 #include "poly/kernels.hpp"
 #include "steady/machine_geometry.hpp"
@@ -235,27 +235,34 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
+// Print a library Status error and return its process exit code.
+int fail(const Status& st) {
+  std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
+  return st.exit_code();
+}
+
+// Build a planned machine; a machine beyond its family's simulable limit is
+// an invalid argument (exit 3).
+Machine build_or_exit(const StatusOr<MachinePlan>& plan) {
+  if (!plan.is_ok()) std::exit(fail(plan.status()));
+  return build_machine(plan.value());
+}
+
+// The --machine family with at least `capacity` PEs (envelope, topo).
 Machine make_machine(const Options& o, std::size_t capacity) {
-  if (o.machine == "mesh") return Machine(make_mesh_for(capacity));
-  if (o.machine == "hypercube") return Machine(make_hypercube_for(capacity));
-  if (o.machine == "ccc") return Machine(make_ccc_for(capacity));
-  if (o.machine == "shuffle") {
-    return Machine(make_shuffle_exchange_for(capacity));
-  }
-  std::fprintf(stderr, "unknown machine '%s'\n", o.machine.c_str());
-  std::exit(2);
+  return build_or_exit(plan_machine(o.machine, capacity));
+}
+
+// The machine a query runs on — the one the serving engine builds for the
+// same scenario (dyncg/query_machine.hpp).
+Machine query_machine(const Options& o, Query query, const MotionSystem& sys) {
+  return build_or_exit(plan_query_machine(query, sys, o.machine));
 }
 
 // Attach the --faults plan (the DYNCG_FAULTS env plan is picked up by the
 // Machine constructor on its own).
 void arm(Machine& m) {
   if (g_cli_faults != nullptr) m.set_fault_plan(g_cli_faults);
-}
-
-// Print a library Status error and return its process exit code.
-int fail(const Status& st) {
-  std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-  return st.exit_code();
 }
 
 void report_cost(const Machine& m, const CostSnapshot& cost) {
@@ -273,9 +280,7 @@ StatusOr<MotionSystem> make_system(const Options& o) {
 int cmd_neighbor(const Options& o) {
   StatusOr<MotionSystem> sys = make_system(o);
   if (!sys.is_ok()) return fail(sys.status());
-  int s = std::max(1, 2 * sys.value().motion_degree());
-  Machine m =
-      make_machine(o, lambda_upper_bound(ceil_pow2(sys.value().size()), s));
+  Machine m = query_machine(o, Query::kNeighbor, sys.value());
   arm(m);
   CostMeter meter(m.ledger());
   StatusOr<NeighborSequence> seq =
@@ -289,8 +294,7 @@ int cmd_neighbor(const Options& o) {
 int cmd_pairs(const Options& o) {
   StatusOr<MotionSystem> sys = make_system(o);
   if (!sys.is_ok()) return fail(sys.status());
-  Machine m = o.machine == "mesh" ? allpairs_machine_mesh(sys.value())
-                                  : allpairs_machine_hypercube(sys.value());
+  Machine m = query_machine(o, Query::kPairs, sys.value());
   arm(m);
   CostMeter meter(m.ledger());
   PairSequence seq = closest_pair_sequence(m, sys.value(), o.farthest);
@@ -302,7 +306,7 @@ int cmd_pairs(const Options& o) {
 int cmd_collisions(const Options& o) {
   StatusOr<MotionSystem> sys = make_system(o);
   if (!sys.is_ok()) return fail(sys.status());
-  Machine m = make_machine(o, sys.value().size());
+  Machine m = query_machine(o, Query::kCollisions, sys.value());
   arm(m);
   CostMeter meter(m.ledger());
   StatusOr<CollisionReport> rep = try_collision_times(m, sys.value(), o.query);
@@ -320,9 +324,7 @@ int cmd_collisions(const Options& o) {
 int cmd_hullwhen(const Options& o) {
   StatusOr<MotionSystem> sys = make_system(o);
   if (!sys.is_ok()) return fail(sys.status());
-  Machine m = o.machine == "mesh"
-                  ? hull_membership_machine_mesh(sys.value())
-                  : hull_membership_machine_hypercube(sys.value());
+  Machine m = query_machine(o, Query::kHullwhen, sys.value());
   arm(m);
   CostMeter meter(m.ledger());
   StatusOr<IntervalSet> hit =
@@ -337,9 +339,7 @@ int cmd_hullwhen(const Options& o) {
 int cmd_contain(const Options& o) {
   StatusOr<MotionSystem> sys = make_system(o);
   if (!sys.is_ok()) return fail(sys.status());
-  Machine m = o.machine == "mesh"
-                  ? containment_machine_mesh(sys.value())
-                  : containment_machine_hypercube(sys.value());
+  Machine m = query_machine(o, Query::kContain, sys.value());
   arm(m);
   CostMeter meter(m.ledger());
   if (!o.box.empty()) {
@@ -360,7 +360,7 @@ int cmd_contain(const Options& o) {
 int cmd_steady(const Options& o) {
   Rng rng(o.seed);
   MotionSystem sys = diverging_motion_system(rng, o.n, std::max(1, o.k));
-  Machine m = make_machine(o, o.n);
+  Machine m = query_machine(o, Query::kSteady, sys);
   arm(m);
   CostMeter meter(m.ledger());
   std::printf("steady NN of P%zu: P%zu\n", o.query,
