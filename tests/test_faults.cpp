@@ -80,9 +80,14 @@ TEST(FaultSpec, WindowOverlapPredicate) {
 }
 
 struct BadSpecCase {
+  const char* name;  // printed as the parameter; names the case in ctest
   const char* spec;
   const char* substring;
 };
+
+// Without this gtest prints the pointers as raw bytes, and ctest test
+// discovery would bake those per-process addresses into the test names.
+void PrintTo(const BadSpecCase& c, std::ostream* os) { *os << c.name; }
 
 class FaultSpecErrors : public ::testing::TestWithParam<BadSpecCase> {};
 
@@ -99,19 +104,28 @@ TEST_P(FaultSpecErrors, RejectedWithParseError) {
 INSTANTIATE_TEST_SUITE_P(
     Grammar, FaultSpecErrors,
     ::testing::Values(
-        BadSpecCase{"", "empty fault"},
-        BadSpecCase{"link:1-2@0,,pe:3@1", "empty fault event"},
-        BadSpecCase{"bogus:1@2", "unknown event kind"},
-        BadSpecCase{"link:1@4", "expected '-' between the link endpoints"},
-        BadSpecCase{"link:1-@4", "expected the second node id"},
-        BadSpecCase{"link:1-1@4", "link endpoints are equal"},
-        BadSpecCase{"link:1-2", "expected '@' before the round window"},
-        BadSpecCase{"link:1-2@", "expected a round number after '@'"},
-        BadSpecCase{"link:1-2@3;4", "expected '..' in the round window"},
-        BadSpecCase{"link:1-2@9..3", "window ends before it starts"},
-        BadSpecCase{"link:1-2@3..4x", "trailing characters"},
-        BadSpecCase{"drop:1-2@3..5", "drop events name a single round"},
-        BadSpecCase{"pe:@1", "expected a node id"}));
+        BadSpecCase{"EmptySpec", "", "empty fault"},
+        BadSpecCase{"EmptyEvent", "link:1-2@0,,pe:3@1", "empty fault event"},
+        BadSpecCase{"UnknownKind", "bogus:1@2", "unknown event kind"},
+        BadSpecCase{"LinkMissingDash", "link:1@4",
+                    "expected '-' between the link endpoints"},
+        BadSpecCase{"LinkMissingSecondNode", "link:1-@4",
+                    "expected the second node id"},
+        BadSpecCase{"LinkEqualEndpoints", "link:1-1@4",
+                    "link endpoints are equal"},
+        BadSpecCase{"MissingAt", "link:1-2",
+                    "expected '@' before the round window"},
+        BadSpecCase{"MissingRound", "link:1-2@",
+                    "expected a round number after '@'"},
+        BadSpecCase{"MissingDotDot", "link:1-2@3;4",
+                    "expected '..' in the round window"},
+        BadSpecCase{"WindowBackwards", "link:1-2@9..3",
+                    "window ends before it starts"},
+        BadSpecCase{"TrailingCharacters", "link:1-2@3..4x",
+                    "trailing characters"},
+        BadSpecCase{"DropWithWindow", "drop:1-2@3..5",
+                    "drop events name a single round"},
+        BadSpecCase{"PeMissingNode", "pe:@1", "expected a node id"}));
 
 TEST(FaultSpec, ErrorNamesTheGrammar) {
   StatusOr<FaultPlan> got = FaultPlan::parse("nope");
