@@ -39,7 +39,7 @@
 #include "poly/kernels.hpp"
 #include "machine/machine.hpp"
 #include "pieces/piecewise.hpp"
-#include "support/build_info.hpp"
+#include "support/bench_report.hpp"
 #include "support/fatal.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -73,41 +73,7 @@ inline void host_sort(It first, It last, Less less = Less{}) {
   std::sort(first, last, less);
 }
 
-// Least-squares slope of log(y) against log(x): the measured growth
-// exponent.
-inline double loglog_slope(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    double lx = std::log(x[i]), ly = std::log(y[i]);
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-  }
-  double denom = static_cast<double>(n) * sxx - sx * sx;
-  return (static_cast<double>(n) * sxy - sx * sy) / denom;
-}
-
-// Ratio y / f(x) at the largest x, a "constant factor" probe.
-inline double tail_ratio(const std::vector<double>& x,
-                         const std::vector<double>& y, double (*f)(double)) {
-  return y.back() / f(x.back());
-}
-
-struct Row {
-  std::string label;
-  std::vector<double> n;
-  std::vector<double> rounds;
-  std::string claimed;  // the paper's Theta(...)
-};
-
-// Schema version of the BENCH_<name>.json reports; bump on layout changes
-// and document them in docs/OBSERVABILITY.md.
-// v2: added the "faults" section (active DYNCG_FAULTS spec + process-wide
-// fault counters).
-inline constexpr int kBenchJsonSchemaVersion = 2;
+using Row = BenchRow;
 
 // Process-wide recorder behind print_table(): collects every table and
 // writes BENCH_<name>.json at exit.
@@ -119,7 +85,7 @@ class BenchReport {
   }
 
   void record(const std::string& title, const std::vector<Row>& rows) {
-    tables_.push_back(Table{title, rows});
+    tables_.push_back(BenchTable{title, rows});
     if (!atexit_registered_) {
       atexit_registered_ = true;
       std::atexit([] { BenchReport::instance().write(); });
@@ -127,23 +93,6 @@ class BenchReport {
       // fatal path too so a crashed sweep still leaves its rows on disk.
       fatal::register_flush([] { BenchReport::instance().write(); });
     }
-  }
-
-  // Revision stamp for the report: run-time resolution with a baked-in
-  // configure-time fallback (support/build_info.hpp; dyncg_load stamps its
-  // BENCH_serve.json through the same helper).
-  static std::string git_rev() {
-#if defined(DYNCG_SOURCE_DIR)
-    const char* src = DYNCG_SOURCE_DIR;
-#else
-    const char* src = nullptr;
-#endif
-#if defined(DYNCG_GIT_REV)
-    const char* baked = DYNCG_GIT_REV;
-#else
-    const char* baked = nullptr;
-#endif
-    return git_revision(src, baked);
   }
 
   // Bench binary name with the "bench_" prefix stripped ("table1_ops").
@@ -171,112 +120,34 @@ class BenchReport {
     }
     const std::string path = dir + "/BENCH_" + bench_name() + ".json";
 
-    json::Writer w;
-    w.begin_object();
-    w.key("schema_version");
-    w.value(std::int64_t{kBenchJsonSchemaVersion});
-    w.key("kind");
-    w.value("dyncg-bench");
-    w.key("name");
-    w.value(bench_name());
-    w.key("git_rev");
-    w.value(git_rev());
-    w.key("config");
-    w.begin_object();
-    w.key("threads");
-    w.value(std::uint64_t{host_threads()});
+    BenchHeader header;
+    header.name = bench_name();
 #if defined(DYNCG_HAVE_PARALLEL_SORT)
-    w.key("parallel_sort");
-    w.value(true);
+    header.parallel_sort = true;
 #else
-    w.key("parallel_sort");
-    w.value(false);
+    header.parallel_sort = false;
 #endif
-    // Numeric-kernel dispatch target the run used ("scalar" or "avx2");
-    // the ledger figures must not depend on it (exactness contract,
-    // docs/PERFORMANCE.md#simd-kernels), but host_seconds does.
-    w.key("dispatch");
-    w.value(kernels::active_simd_name());
-    w.end_object();
-    w.key("faults");
-    w.begin_object();
-    {
-      const char* spec = std::getenv("DYNCG_FAULTS");
-      w.key("spec");
-      w.value(spec != nullptr ? spec : "");
-      FaultCountersSnapshot fc = faults_global::snapshot();
-      w.key("link_down_hits");
-      w.value(fc.link_down_hits);
-      w.key("pe_down_hits");
-      w.value(fc.pe_down_hits);
-      w.key("words_dropped");
-      w.value(fc.words_dropped);
-      w.key("retries");
-      w.value(fc.retries);
-      w.key("detour_rounds");
-      w.value(fc.detour_rounds);
-      w.key("remaps");
-      w.value(fc.remaps);
-    }
-    w.end_object();
-    w.key("host_seconds");
-    w.value(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          detail::process_start)
-                .count());
+    const char* spec = std::getenv("DYNCG_FAULTS");
+    header.fault_spec = spec != nullptr ? spec : "";
+    header.faults = faults_global::snapshot();
+    header.host_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() -
+                              detail::process_start)
+                              .count();
+    json::Writer w;
+    begin_bench_report(&w, header);
     w.key("unix_time");
     w.value(static_cast<std::int64_t>(std::chrono::duration_cast<std::chrono::seconds>(
         std::chrono::system_clock::now().time_since_epoch()).count()));
-    w.key("tables");
-    w.begin_array();
-    for (const Table& t : tables_) {
-      w.begin_object();
-      w.key("title");
-      w.value(t.title);
-      w.key("rows");
-      w.begin_array();
-      for (const Row& r : t.rows) {
-        w.begin_object();
-        w.key("problem");
-        w.value(r.label);
-        w.key("claim");
-        w.value(r.claimed);
-        w.key("slope");
-        w.value(r.n.size() >= 2 ? loglog_slope(r.n, r.rounds) : 0.0);
-        w.key("points");
-        w.begin_array();
-        for (std::size_t i = 0; i < r.n.size(); ++i) {
-          w.begin_object();
-          w.key("n");
-          w.value(r.n[i]);
-          w.key("rounds");
-          w.value(r.rounds[i]);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
+    write_bench_tables(&w, tables_);
     w.end_object();
-
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fwrite(w.str().data(), 1, w.str().size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    } else {
+    if (!write_json_file(path, w)) {
       std::fprintf(stderr, "dyncg bench: cannot write %s\n", path.c_str());
     }
   }
 
  private:
-  struct Table {
-    std::string title;
-    std::vector<Row> rows;
-  };
-
-  std::vector<Table> tables_;
+  std::vector<BenchTable> tables_;
   bool atexit_registered_ = false;
   bool written_ = false;
 };

@@ -18,6 +18,14 @@ Status too_large(std::string_view family, std::size_t capacity,
       " PEs");
 }
 
+// Queries whose algorithm needs a pair of points refuse a single one up
+// front, instead of reaching an envelope or steady-state size assertion.
+Status too_few_points(std::string_view what, std::size_t n) {
+  return Status::invalid_argument(std::string(what) +
+                                  " needs at least two points, got " +
+                                  std::to_string(n));
+}
+
 Status unknown_family(std::string_view family) {
   return Status::invalid_argument("unknown machine '" + std::string(family) +
                                   "'");
@@ -69,21 +77,20 @@ StatusOr<MachinePlan> plan_query_machine(Query query,
     case Query::kNeighbor:
       return plan_machine(family, lambda_upper_bound(ceil_pow2(n), s_dist));
     case Query::kPairs:
-      if (n < 2) {
-        return Status::invalid_argument(
-            "the pair sequence needs at least two points, got " +
-            std::to_string(n));
-      }
+      if (n < 2) return too_few_points("the pair sequence", n);
       return plan_machine(
           mesh_or_cube, lambda_upper_bound(ceil_pow2(n * (n - 1) / 2), s_dist));
     case Query::kHullwhen:
       return plan_machine(mesh_or_cube,
                           lambda_upper_bound(ceil_pow2(n), s_hull));
     case Query::kContain:
+      if (n < 2) return too_few_points("the containment query", n);
       return plan_machine(mesh_or_cube,
                           lambda_upper_bound(ceil_pow2(n), s_coord));
-    case Query::kCollisions:
     case Query::kSteady:
+      if (n < 2) return too_few_points("the steady-state survey", n);
+      return plan_machine(family, n);
+    case Query::kCollisions:
       return plan_machine(family, n);
   }
   return Status::invalid_argument("unknown query");

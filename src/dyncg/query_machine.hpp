@@ -22,7 +22,8 @@
 // contain) need lambda(n, s) PEs for their Davenport-Schinzel bound s;
 // collisions and steady need one PE per point.  pairs, hullwhen and contain
 // run on the mesh when the family is "mesh" and on the hypercube otherwise;
-// the other queries run on the named family.
+// the other queries run on the named family.  pairs, contain and steady
+// need at least two points; a smaller system is INVALID_ARGUMENT.
 namespace dyncg {
 
 enum class Query { kNeighbor, kPairs, kCollisions, kHullwhen, kContain, kSteady };

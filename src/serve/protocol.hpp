@@ -16,10 +16,11 @@
 // Each request is one JSON object on one line; each response is one JSON
 // object on one line, in request order per connection.  The complete field
 // reference lives in docs/SERVING.md; this header is the single
-// implementation of both directions, shared by the server, the dyncg_load
-// client/oracle, the schema checker (dyncg_json_check --serve-request),
-// and the protocol tests — so the documented grammar and the accepted
-// grammar cannot drift apart.
+// implementation of both directions, shared by the server, the client side
+// (serve/client.hpp: dyncg_load, dyncg_chaos and the server tests), the
+// schema checker (dyncg_json_check --serve-request), and the protocol
+// tests — so the documented grammar and the accepted grammar cannot drift
+// apart.
 //
 // Parsing is strict: unknown fields, wrong types, out-of-range values, and
 // mixed scenario forms are errors, not warnings.  A rejected request costs

@@ -23,7 +23,17 @@ std::string run_command(const std::string& cmd) {
 
 }  // namespace
 
-std::string git_revision(const char* source_dir, const char* baked) {
+std::string git_revision() {
+#if defined(DYNCG_SOURCE_DIR)
+  const char* source_dir = DYNCG_SOURCE_DIR;
+#else
+  const char* source_dir = nullptr;
+#endif
+#if defined(DYNCG_GIT_REV)
+  const char* baked = DYNCG_GIT_REV;
+#else
+  const char* baked = nullptr;
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   if (source_dir != nullptr) {
     const std::string base = std::string("git -C \"") + source_dir + "\" ";

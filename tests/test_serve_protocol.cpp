@@ -168,6 +168,12 @@ TEST(ServeParse, RejectsMachinesBeyondTopologyLimits) {
       {R"({"op":"pairs","machine":"hypercube","scenario":{"n":1449}})",
        "16777216"},
       {R"({"op":"pairs","scenario":{"n":1}})", "two points"},
+      {R"({"op":"contain","scenario":{"n":1}})", "two points"},
+      {R"({"op":"contain","scenario":{"n":1},"box":[8,6]})", "two points"},
+      {R"({"op":"contain","machine":"hypercube","scenario":{"n":1}})",
+       "two points"},
+      {R"({"op":"steady","scenario":{"n":1}})", "two points"},
+      {R"({"op":"steady","machine":"ccc","scenario":{"n":1}})", "two points"},
   };
   for (const Case& c : rejected) {
     StatusOr<Request> r = parse(c.line);

@@ -1,11 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <csignal>
 #include <string>
@@ -15,6 +9,7 @@
 #include "dyncg/motion.hpp"
 #include "envelope/dynamic_envelope.hpp"
 #include "envelope/scenario_key.hpp"
+#include "serve/client.hpp"
 #include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -60,67 +55,16 @@ class TestServer {
   std::thread thread_;
 };
 
-// Blocking loopback client with line framing.
-class Client {
- public:
-  explicit Client(int port, int rcvbuf = 0) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    if (rcvbuf > 0) {
-      setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      close(fd_);
-      fd_ = -1;  // send_raw/recv_line fail loudly in the test body
-    }
-  }
-  ~Client() {
-    if (fd_ >= 0) close(fd_);
-  }
+// Next response line; empty string on EOF / reset.
+std::string next_line(LineClient& c) {
+  std::string line;
+  return c.recv_line(&line) ? line : "";
+}
 
-  // Send raw bytes (the caller supplies newlines, so several requests can
-  // go out in one write and land in one server read burst).
-  bool send_raw(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      ssize_t n = write(fd_, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  // Next response line; empty string on EOF / reset.
-  std::string recv_line() {
-    for (;;) {
-      std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[65536];
-      ssize_t n = read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return "";
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::string round_trip(const std::string& request) {
-    if (!send_raw(request + "\n")) return "";
-    return recv_line();
-  }
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
-};
+std::string ask(LineClient& c, const std::string& request) {
+  std::string response;
+  return c.round_trip(request, &response) ? response : "";
+}
 
 std::string status_of(const std::string& response) {
   json::Value v;
@@ -129,15 +73,11 @@ std::string status_of(const std::string& response) {
   return s != nullptr && s->is_string() ? s->string : "<missing>";
 }
 
-std::uint64_t stat_counter(Client& c, const std::string& key) {
-  std::string line = c.round_trip("{\"op\":\"stats\"}");
-  json::Value v;
-  if (!json::parse(line, &v)) return ~std::uint64_t{0};
-  const json::Value* stats = v.find("stats");
-  if (stats == nullptr) return ~std::uint64_t{0};
-  const json::Value* x = stats->find(key);
-  return x != nullptr && x->is_number() ? static_cast<std::uint64_t>(x->number)
-                                        : ~std::uint64_t{0};
+ServeStats stats_of(LineClient& c) {
+  std::string line = ask(c, "{\"op\":\"stats\"}");
+  ServeStats stats;
+  EXPECT_TRUE(read_stats(line, &stats)) << line;
+  return stats;
 }
 
 // A request the engine takes tens of milliseconds to answer — long enough
@@ -154,52 +94,66 @@ TEST(ServeAdmission, LineCapBoundary) {
   ServerOptions opt;
   opt.max_line = 128;
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
   // Exactly max_line bytes (newline excluded) is admitted...
   std::string line = "{\"op\":\"ping\",\"id\":\"";
   line.append(opt.max_line - line.size() - 2, 'x');
   line += "\"}";
   ASSERT_EQ(line.size(), opt.max_line);
-  EXPECT_EQ(status_of(c.round_trip(line)), "OK");
+  EXPECT_EQ(status_of(ask(c, line)), "OK");
 
   // ...one byte more is INVALID_ARGUMENT, and the connection survives.
   std::string over = "{\"op\":\"ping\",\"id\":\"";
   over.append(opt.max_line - over.size() - 1, 'x');
   over += "\"}";
   ASSERT_EQ(over.size(), opt.max_line + 1);
-  std::string resp = c.round_trip(over);
+  std::string resp = ask(c, over);
   EXPECT_EQ(status_of(resp), "INVALID_ARGUMENT");
   EXPECT_NE(resp.find("max_line"), std::string::npos);
-  EXPECT_EQ(status_of(c.round_trip("{\"op\":\"ping\"}")), "OK");
+  EXPECT_EQ(status_of(ask(c, "{\"op\":\"ping\"}")), "OK");
 }
 
 TEST(ServeAdmission, MachineBeyondTopologyLimitAnsweredNotFatal) {
   TestServer ts(ServerOptions{});
-  Client c(ts.port());
+  LineClient c(ts.port());
   // neighbor on CCC at n = 256 needs more than CCC's 2048 PEs; shuffle at
-  // n = 512 more than shuffle-exchange's 2^12.  Each is refused at parse
-  // time, and the same connection keeps being served.
-  for (const char* machine : {"ccc", "shuffle"}) {
-    std::string n = std::string(machine) == "ccc" ? "256" : "512";
-    std::string resp = c.round_trip(
-        std::string("{\"op\":\"neighbor\",\"machine\":\"") + machine +
-        "\",\"scenario\":{\"n\":" + n + "}}");
+  // n = 512 more than shuffle-exchange's 2^12; contain (with or without a
+  // box) and steady need two points.  Each is refused at parse time, and
+  // the same connection keeps being served.
+  struct Case {
+    const char* machine;
+    const char* request;
+    const char* why;
+  };
+  const Case refused[] = {
+      {"ccc", R"({"op":"neighbor","machine":"ccc","scenario":{"n":256}})",
+       "simulates at most"},
+      {"shuffle",
+       R"({"op":"neighbor","machine":"shuffle","scenario":{"n":512}})",
+       "simulates at most"},
+      {"mesh", R"({"op":"contain","scenario":{"n":1}})", "two points"},
+      {"mesh", R"({"op":"contain","scenario":{"n":1},"box":[8,6]})",
+       "two points"},
+      {"mesh", R"({"op":"steady","scenario":{"n":1}})", "two points"},
+  };
+  for (const Case& k : refused) {
+    std::string resp = ask(c, k.request);
     EXPECT_EQ(status_of(resp), "INVALID_ARGUMENT") << resp;
-    EXPECT_NE(resp.find("simulates at most"), std::string::npos) << resp;
-    std::string next = c.round_trip(
-        std::string("{\"op\":\"collisions\",\"machine\":\"") + machine +
-        "\",\"scenario\":{\"n\":8}}");
+    EXPECT_NE(resp.find(k.why), std::string::npos) << resp;
+    std::string next =
+        ask(c, std::string("{\"op\":\"collisions\",\"machine\":\"") +
+                   k.machine + "\",\"scenario\":{\"n\":8}}");
     EXPECT_EQ(status_of(next), "OK") << next;
   }
-  EXPECT_EQ(status_of(c.round_trip("{\"op\":\"ping\"}")), "OK");
+  EXPECT_EQ(status_of(ask(c, "{\"op\":\"ping\"}")), "OK");
 }
 
 TEST(ServeAdmission, QueueCapShedsOldestFirst) {
   ServerOptions opt;
   opt.queue_cap = 4;
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
   // Six requests in one write arrive as one read burst, which take_lines
   // admits synchronously before any batch runs: lines 1-4 fill the queue,
@@ -212,7 +166,7 @@ TEST(ServeAdmission, QueueCapShedsOldestFirst) {
   }
   ASSERT_TRUE(c.send_raw(burst));
   std::vector<std::string> responses;
-  for (int i = 0; i < 6; ++i) responses.push_back(c.recv_line());
+  for (int i = 0; i < 6; ++i) responses.push_back(next_line(c));
 
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(status_of(responses[i]), "UNAVAILABLE") << responses[i];
@@ -224,7 +178,7 @@ TEST(ServeAdmission, QueueCapShedsOldestFirst) {
               std::string::npos)
         << responses[i];
   }
-  EXPECT_EQ(stat_counter(c, "shed"), 2u);
+  EXPECT_EQ(stats_of(c).shed, 2u);
 }
 
 TEST(ServeAdmission, ConnLimitBoundary) {
@@ -233,18 +187,18 @@ TEST(ServeAdmission, ConnLimitBoundary) {
   TestServer ts(opt);
 
   // Exactly max_conns clients are served concurrently...
-  Client c1(ts.port());
-  Client c2(ts.port());
-  EXPECT_EQ(status_of(c1.round_trip("{\"op\":\"ping\"}")), "OK");
-  EXPECT_EQ(status_of(c2.round_trip("{\"op\":\"ping\"}")), "OK");
+  LineClient c1(ts.port());
+  LineClient c2(ts.port());
+  EXPECT_EQ(status_of(ask(c1, "{\"op\":\"ping\"}")), "OK");
+  EXPECT_EQ(status_of(ask(c2, "{\"op\":\"ping\"}")), "OK");
 
   // ...the next connect is told UNAVAILABLE and closed.
   {
-    Client c3(ts.port());
-    std::string bye = c3.recv_line();
+    LineClient c3(ts.port());
+    std::string bye = next_line(c3);
     EXPECT_EQ(status_of(bye), "UNAVAILABLE") << bye;
     EXPECT_NE(bye.find("connection limit"), std::string::npos);
-    EXPECT_EQ(c3.recv_line(), "");  // EOF
+    EXPECT_EQ(next_line(c3), "");  // EOF
   }
 }
 
@@ -254,26 +208,26 @@ TEST(ServeDeadline, ExpiredAtDequeueWithoutTouchingCache) {
   ServerOptions opt;
   opt.batch_cap = 1;  // the victim waits behind the heavy request
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
   const char* victim =
       "{\"op\":\"neighbor\",\"id\":\"v\",\"scenario\":"
       "{\"seed\":7,\"n\":6,\"k\":1},\"deadline_ms\":1}";
   ASSERT_TRUE(c.send_raw(heavy(1) + "\n" + victim + "\n"));
-  std::string first = c.recv_line();
+  std::string first = next_line(c);
   EXPECT_EQ(status_of(first), "OK") << first;
-  std::string second = c.recv_line();
+  std::string second = next_line(c);
   EXPECT_EQ(status_of(second), "DEADLINE_EXCEEDED") << second;
   EXPECT_NE(second.find("\"id\":\"v\""), std::string::npos) << second;
 
   // The expired request never ran and never touched the cache: the same
   // scenario sent again (no deadline) is a miss, and the counters agree.
-  std::string retry = c.round_trip(
+  std::string retry = ask(c,
       "{\"op\":\"neighbor\",\"id\":\"v2\",\"scenario\":"
       "{\"seed\":7,\"n\":6,\"k\":1}}");
   EXPECT_EQ(status_of(retry), "OK") << retry;
   EXPECT_NE(retry.find("\"cache\":\"miss\""), std::string::npos) << retry;
-  EXPECT_EQ(stat_counter(c, "deadline_exceeded"), 1u);
+  EXPECT_EQ(stats_of(c).deadline_exceeded, 1u);
 }
 
 TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
@@ -281,7 +235,7 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
   opt.batch_cap = 1;
   opt.deadline_ms = 1;  // server-wide default: everything queued expires
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
   // The victim inherits the 1 ms server default and expires waiting behind
   // the heavy request (which may or may not expire itself, depending on
@@ -289,8 +243,8 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
   const char* victim =
       "{\"op\":\"ping\",\"id\":\"inherit\"}";
   ASSERT_TRUE(c.send_raw(heavy(2) + "\n" + victim + "\n"));
-  (void)c.recv_line();  // heavy: OK or DEADLINE_EXCEEDED, both legal
-  std::string second = c.recv_line();
+  (void)next_line(c);  // heavy: OK or DEADLINE_EXCEEDED, both legal
+  std::string second = next_line(c);
   EXPECT_EQ(status_of(second), "DEADLINE_EXCEEDED") << second;
   EXPECT_NE(second.find("\"id\":\"inherit\""), std::string::npos) << second;
 
@@ -298,8 +252,8 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
   std::string ride =
       "{\"op\":\"ping\",\"id\":\"override\",\"deadline_ms\":60000}";
   ASSERT_TRUE(c.send_raw(heavy(3) + "\n" + ride + "\n"));
-  (void)c.recv_line();
-  std::string fourth = c.recv_line();
+  (void)next_line(c);
+  std::string fourth = next_line(c);
   EXPECT_EQ(status_of(fourth), "OK") << fourth;
   EXPECT_NE(fourth.find("\"id\":\"override\""), std::string::npos) << fourth;
 }
@@ -311,7 +265,7 @@ TEST(ServeDrain, RejectsNewWorkFinishesQueuedAndExitsOk) {
   opt.batch_cap = 1;
   opt.drain_ms = 30000;  // ample: everything queued must complete
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
   // ~1.5 s of queued heavy work keeps the server draining long enough to
   // observe the draining rejection deterministically.
@@ -331,16 +285,16 @@ TEST(ServeDrain, RejectsNewWorkFinishesQueuedAndExitsOk) {
   // All 30 queued heavies still complete OK, in order...
   int ok = 0;
   for (int i = 0; i < 30; ++i) {
-    std::string r = c.recv_line();
+    std::string r = next_line(c);
     if (status_of(r) == "OK") ++ok;
   }
   EXPECT_EQ(ok, 30);
   // ...the late line is rejected with the draining marker, and the server
   // returns cleanly.
-  std::string late = c.recv_line();
+  std::string late = next_line(c);
   EXPECT_EQ(status_of(late), "UNAVAILABLE") << late;
   EXPECT_NE(late.find("\"draining\":true"), std::string::npos) << late;
-  EXPECT_EQ(c.recv_line(), "");  // drained server closed the connection
+  EXPECT_EQ(next_line(c), "");  // drained server closed the connection
   Status st = ts.join();
   EXPECT_TRUE(st.is_ok()) << st.to_string();
 }
@@ -350,7 +304,7 @@ TEST(ServeDrain, BudgetExpiryShedsRemainingWork) {
   opt.batch_cap = 1;
   opt.drain_ms = 150;  // far less than the queued ~1.5 s of work
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
   std::string burst;
   for (int i = 0; i < 30; ++i) burst += heavy(200 + i) + "\n";
@@ -363,7 +317,7 @@ TEST(ServeDrain, BudgetExpiryShedsRemainingWork) {
   int ok = 0;
   int shed = 0;
   for (int i = 0; i < 30; ++i) {
-    std::string r = c.recv_line();
+    std::string r = next_line(c);
     ASSERT_NE(r, "") << "response " << i << " missing after drain";
     std::string s = status_of(r);
     if (s == "OK") ++ok;
@@ -393,15 +347,15 @@ std::string field_of(const std::string& response, const std::string& key) {
 TEST(ServeFleet, LifecycleMatchesOracleAndStatsTrackSessions) {
   ServerOptions opt;
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
-  std::string open = c.round_trip(
+  std::string open = ask(c,
       "{\"op\":\"fleet_open\",\"d\":2,\"k\":1}");
   ASSERT_EQ(status_of(open), "OK") << open;
   EXPECT_NE(open.find("\"fleet\":\"fleet-1\""), std::string::npos) << open;
-  EXPECT_EQ(stat_counter(c, "fleets"), 1u);
+  EXPECT_EQ(stats_of(c).fleets, 1u);
 
-  std::string update = c.round_trip(
+  std::string update = ask(c,
       "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"insert\":["
       "{\"id\":5,\"point\":[[4,-1],[0]]},"
       "{\"id\":2,\"point\":[[0,1],[3]]}],\"advance\":1.5}");
@@ -423,18 +377,18 @@ TEST(ServeFleet, LifecycleMatchesOracleAndStatsTrackSessions) {
   DynamicEnvelope oracle =
       canonical_rebuild(members, 1.5, /*take_min=*/true, fleet_s_bound(1));
   std::string query =
-      c.round_trip("{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}");
+      ask(c, "{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}");
   ASSERT_EQ(status_of(query), "OK") << query;
   EXPECT_EQ(field_of(query, "result"), oracle.result_string()) << query;
   EXPECT_EQ(field_of(query, "key"),
             fingerprint_hex(oracle.state_fingerprint()));
 
   std::string closed =
-      c.round_trip("{\"op\":\"fleet_close\",\"fleet\":\"fleet-1\"}");
+      ask(c, "{\"op\":\"fleet_close\",\"fleet\":\"fleet-1\"}");
   ASSERT_EQ(status_of(closed), "OK") << closed;
-  EXPECT_EQ(stat_counter(c, "fleets"), 0u);
+  EXPECT_EQ(stats_of(c).fleets, 0u);
   // The name is retired with the session.
-  EXPECT_EQ(status_of(c.round_trip(
+  EXPECT_EQ(status_of(ask(c,
                 "{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}")),
             "INVALID_ARGUMENT");
 }
@@ -444,34 +398,34 @@ TEST(ServeFleet, AdmissionCapsSessionsAndMembers) {
   opt.max_fleets = 1;
   opt.max_fleet_members = 2;
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
-  ASSERT_EQ(status_of(c.round_trip("{\"op\":\"fleet_open\"}")), "OK");
-  std::string refused = c.round_trip("{\"op\":\"fleet_open\"}");
+  ASSERT_EQ(status_of(ask(c, "{\"op\":\"fleet_open\"}")), "OK");
+  std::string refused = ask(c, "{\"op\":\"fleet_open\"}");
   EXPECT_EQ(status_of(refused), "UNAVAILABLE") << refused;
 
   // Two members fit; a batch that would reach three is refused whole, and
   // an erase+insert in one batch stays within the cap.
-  ASSERT_EQ(status_of(c.round_trip(
+  ASSERT_EQ(status_of(ask(c,
                 "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"insert\":["
                 "{\"id\":1,\"point\":[[1],[0]]},"
                 "{\"id\":2,\"point\":[[2],[0]]}]}")),
             "OK");
-  std::string over = c.round_trip(
+  std::string over = ask(c,
       "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"insert\":["
       "{\"id\":3,\"point\":[[3],[0]]}]}");
   EXPECT_EQ(status_of(over), "UNAVAILABLE") << over;
-  std::string swap = c.round_trip(
+  std::string swap = ask(c,
       "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"erase\":[1],"
       "\"insert\":[{\"id\":3,\"point\":[[3],[0]]}]}");
   EXPECT_EQ(status_of(swap), "OK") << swap;
   EXPECT_NE(swap.find("\"members\":2"), std::string::npos) << swap;
 
   // Closing the only session frees its slot for a new open.
-  ASSERT_EQ(status_of(c.round_trip(
+  ASSERT_EQ(status_of(ask(c,
                 "{\"op\":\"fleet_close\",\"fleet\":\"fleet-1\"}")),
             "OK");
-  std::string reopened = c.round_trip("{\"op\":\"fleet_open\"}");
+  std::string reopened = ask(c, "{\"op\":\"fleet_open\"}");
   EXPECT_EQ(status_of(reopened), "OK");
   // Session names are never reused within a server's lifetime.
   EXPECT_NE(reopened.find("\"fleet\":\"fleet-2\""), std::string::npos)
@@ -481,15 +435,15 @@ TEST(ServeFleet, AdmissionCapsSessionsAndMembers) {
 TEST(ServeFleet, RejectedUpdateLeavesSessionUntouched) {
   ServerOptions opt;
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
 
-  ASSERT_EQ(status_of(c.round_trip("{\"op\":\"fleet_open\",\"k\":1}")), "OK");
-  ASSERT_EQ(status_of(c.round_trip(
+  ASSERT_EQ(status_of(ask(c, "{\"op\":\"fleet_open\",\"k\":1}")), "OK");
+  ASSERT_EQ(status_of(ask(c,
                 "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"insert\":["
                 "{\"id\":1,\"point\":[[1],[0]]}],\"advance\":2}")),
             "OK");
   const std::string before =
-      c.round_trip("{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}");
+      ask(c, "{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}");
 
   // Each rejected batch carries one bad op alongside a valid insert; the
   // valid part must not land (validate-all-then-apply).
@@ -511,8 +465,8 @@ TEST(ServeFleet, RejectedUpdateLeavesSessionUntouched) {
       "{\"id\":9,\"point\":[[9]]}]}",
   };
   for (const char* line : bad_updates) {
-    EXPECT_EQ(status_of(c.round_trip(line)), "INVALID_ARGUMENT") << line;
-    EXPECT_EQ(c.round_trip("{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}"),
+    EXPECT_EQ(status_of(ask(c, line)), "INVALID_ARGUMENT") << line;
+    EXPECT_EQ(ask(c, "{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}"),
               before)
         << "session changed by rejected update: " << line;
   }
@@ -524,7 +478,7 @@ TEST(ServeFleet, PipelinedBurstKeepsArrivalOrder) {
   // answered strictly in arrival order.
   ServerOptions opt;
   TestServer ts(opt);
-  Client c(ts.port());
+  LineClient c(ts.port());
   std::string burst;
   burst += "{\"op\":\"fleet_open\",\"id\":1}\n";
   burst += "{\"op\":\"ping\",\"id\":2}\n";
@@ -535,7 +489,7 @@ TEST(ServeFleet, PipelinedBurstKeepsArrivalOrder) {
   burst += "{\"op\":\"fleet_close\",\"id\":5,\"fleet\":\"fleet-1\"}\n";
   ASSERT_TRUE(c.send_raw(burst));
   for (int i = 1; i <= 5; ++i) {
-    std::string r = c.recv_line();
+    std::string r = next_line(c);
     EXPECT_EQ(status_of(r), "OK") << r;
     EXPECT_NE(r.find("\"id\":" + std::to_string(i)), std::string::npos) << r;
   }
@@ -553,7 +507,7 @@ TEST(ServeSlowClient, OutputBufferOverflowDisconnects) {
   // within a few KiB, the server-side backlog crosses max_out_buf, and the
   // connection is cut.  The client cannot get all its answers — that IS
   // the defense; memory stayed bounded instead.
-  Client c(ts.port(), /*rcvbuf=*/1024);
+  LineClient c(ts.port(), 1, /*rcvbuf=*/1024);
   std::string burst;
   for (int i = 0; i < 500; ++i) {
     burst += "{\"op\":\"ping\",\"id\":" + std::to_string(i) + "}\n";
@@ -561,12 +515,12 @@ TEST(ServeSlowClient, OutputBufferOverflowDisconnects) {
   ASSERT_TRUE(c.send_raw(burst));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   int got = 0;
-  while (!c.recv_line().empty()) ++got;
+  while (!next_line(c).empty()) ++got;
   EXPECT_LT(got, 500);
 
   // The server is unharmed and still answers a well-behaved client.
-  Client fresh(ts.port());
-  EXPECT_EQ(status_of(fresh.round_trip("{\"op\":\"ping\"}")), "OK");
+  LineClient fresh(ts.port());
+  EXPECT_EQ(status_of(ask(fresh, "{\"op\":\"ping\"}")), "OK");
 }
 
 TEST(ServeSlowClient, StallTimeoutReapsIdleConnectionsOnly) {
@@ -574,16 +528,16 @@ TEST(ServeSlowClient, StallTimeoutReapsIdleConnectionsOnly) {
   opt.stall_timeout_ms = 200;
   TestServer ts(opt);
 
-  Client stalled(ts.port());
-  Client active(ts.port());
+  LineClient stalled(ts.port());
+  LineClient active(ts.port());
   // `stalled` sends half a line and goes quiet; `active` keeps making
   // progress across several stall windows and must be spared.
   ASSERT_TRUE(stalled.send_raw("{\"op\":\"ping\","));
   for (int i = 0; i < 6; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_EQ(status_of(active.round_trip("{\"op\":\"ping\"}")), "OK");
+    EXPECT_EQ(status_of(ask(active, "{\"op\":\"ping\"}")), "OK");
   }
-  EXPECT_EQ(stalled.recv_line(), "");  // reaped: EOF, no response
+  EXPECT_EQ(next_line(stalled), "");  // reaped: EOF, no response
 }
 
 }  // namespace

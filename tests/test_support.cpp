@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "support/ackermann.hpp"
 #include "support/ds_sequence.hpp"
+#include "support/flags.hpp"
 #include "support/rng.hpp"
 
 namespace dyncg {
@@ -127,6 +134,88 @@ TEST(Rng, DeterministicAndPermutes) {
     EXPECT_FALSE(seen[v]);
     seen[v] = true;
   }
+}
+
+// --- strict flag parsing (support/flags.hpp) ---------------------------------
+
+TEST(Flags, ParseIntTakesWholeInRangeTokensOnly) {
+  EXPECT_EQ(flags::parse_int("--n", "12", 1, 64).value(), 12);
+  EXPECT_EQ(flags::parse_int("--n", "-3", -5, 5).value(), -3);
+  EXPECT_EQ(flags::parse_int("--n", "64", 1, 64).value(), 64);
+  struct Bad {
+    const char* tok;
+    long min_value;
+    long max_value;
+    const char* message;
+  };
+  const Bad bad[] = {
+      {"12abc", 1, 64, "--n expects an integer in [1, 64], got '12abc'"},
+      {"", 1, 64, "--n expects an integer in [1, 64], got ''"},
+      {"0", 1, 64, "--n expects an integer in [1, 64], got '0'"},
+      {"65", 1, 64, "--n expects an integer in [1, 64], got '65'"},
+      // strtol saturates at LONG_MAX, which is inside this range: only the
+      // ERANGE check tells the overflow apart.
+      {"99999999999999999999", 0, LONG_MAX,
+       "--n expects an integer in [0, 9223372036854775807], got "
+       "'99999999999999999999'"},
+  };
+  for (const Bad& b : bad) {
+    StatusOr<long> v = flags::parse_int("--n", b.tok, b.min_value, b.max_value);
+    ASSERT_FALSE(v.is_ok()) << b.tok;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(v.status().message(), b.message);
+  }
+}
+
+[[noreturn]] void flags_test_usage() {
+  std::fprintf(stderr, "usage: flags_test\n");
+  std::exit(2);
+}
+
+// Walks `args` the way the tools do, over one integer flag (--n), one
+// string flag (--name) and one switch (--verbose); returns what it read.
+std::string walk(std::vector<std::string> args) {
+  std::vector<char*> argv = {const_cast<char*>("flags_test")};
+  for (std::string& a : args) argv.push_back(a.data());
+  flags::Walker w(static_cast<int>(argv.size()), argv.data(), 1,
+                  flags_test_usage);
+  std::string got;
+  while (w.next()) {
+    if (w.is("--n")) {
+      got += "n=" + std::to_string(w.integer(1, 64)) + ";";
+    } else if (w.is("--name")) {
+      got += "name=" + w.value() + ";";
+    } else if (w.is("--verbose")) {
+      got += "verbose;";
+    } else {
+      w.unknown();
+    }
+  }
+  return got;
+}
+
+TEST(Flags, WalkerTakesSeparateAndInlineValues) {
+  EXPECT_EQ(walk({"--n", "12", "--name", "a", "--verbose"}),
+            "n=12;name=a;verbose;");
+  EXPECT_EQ(walk({"--n=12", "--name=a=b"}), "n=12;name=a=b;");
+  // An empty inline value is a value; whether it is acceptable is the
+  // flag's own decision.
+  EXPECT_EQ(walk({"--name="}), "name=;");
+  EXPECT_EQ(walk({}), "");
+}
+
+TEST(FlagsDeathTest, WalkerRefusesWithMessageThenUsage) {
+  EXPECT_EXIT(walk({"--n", "12abc"}), testing::ExitedWithCode(2),
+              "error: --n expects an integer in \\[1, 64\\], got "
+              "'12abc'\nusage: flags_test");
+  EXPECT_EXIT(walk({"--n="}), testing::ExitedWithCode(2),
+              "error: --n expects an integer in \\[1, 64\\], got ''");
+  EXPECT_EXIT(walk({"--n", "0"}), testing::ExitedWithCode(2),
+              "error: --n expects an integer in \\[1, 64\\], got '0'");
+  EXPECT_EXIT(walk({"--verbose", "--n"}), testing::ExitedWithCode(2),
+              "error: --n needs a value\nusage: flags_test");
+  EXPECT_EXIT(walk({"--frobnicate=1"}), testing::ExitedWithCode(2),
+              "error: unknown flag '--frobnicate'\nusage: flags_test");
 }
 
 }  // namespace

@@ -41,11 +41,8 @@
 // timing-dependent figures — the determinism claims (byte-identical
 // responses, exact counters) are checked per-response via the oracle, not
 // by comparing two chaotic runs.
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -55,13 +52,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "poly/kernels.hpp"
-#include "serve/engine.hpp"
-#include "serve/protocol.hpp"
+#include "serve/client.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -76,19 +72,6 @@ using namespace dyncg;
                "[--rounds R] [--concurrency C] [--max-line BYTES] "
                "[--timeout-ms MS] [--oracle]\n");
   std::exit(2);
-}
-
-long parse_long(const std::string& flag, const char* tok, long min_value,
-                long max_value) {
-  char* end = nullptr;
-  long v = std::strtol(tok, &end, 10);
-  if (end == tok || *end != '\0' || v < min_value || v > max_value) {
-    std::fprintf(stderr,
-                 "error: %s expects an integer in [%ld, %ld], got '%s'\n",
-                 flag.c_str(), min_value, max_value, tok);
-    usage();
-  }
-  return v;
 }
 
 int g_violations = 0;
@@ -173,22 +156,22 @@ void check_response(Lane& lane, const std::string& line) {
   }
   if (status->string != "OK") return;  // errors/sheds carry no result
   if (!oracle_enabled) return;
-  StatusOr<serve::Request> req = serve::parse_request(sent.line);
-  if (!req.is_ok()) {
-    violation("server accepted a request the parser rejects: " + sent.line);
-    return;
-  }
-  if (serve::is_admin_op(req.value().op)) return;
-  StatusOr<serve::CachedResult> want = serve::run_query(req.value());
-  if (!want.is_ok()) {
-    violation("server answered OK where the oracle fails: " + sent.line);
-    return;
-  }
   const json::Value* result = v.find("result");
-  if (result == nullptr || !result->is_string() ||
-      result->string != want.value().text) {
-    violation("oracle mismatch (completed response differs from an "
-              "in-process recompute) for: " + sent.line);
+  switch (serve::check_against_oracle(
+      sent.line, true,
+      result != nullptr && result->is_string() ? result->string : "")) {
+    case serve::OracleVerdict::kAgrees:
+      break;
+    case serve::OracleVerdict::kParseRejects:
+      violation("server accepted a request the parser rejects: " + sent.line);
+      break;
+    case serve::OracleVerdict::kRunFails:
+      violation("server answered OK where the oracle fails: " + sent.line);
+      break;
+    case serve::OracleVerdict::kMismatch:
+      violation("oracle mismatch (completed response differs from an "
+                "in-process recompute) for: " + sent.line);
+      break;
   }
 }
 
@@ -308,51 +291,17 @@ Lane make_lane(Rng& rng, int id, std::size_t server_max_line) {
 
 // --- sockets ----------------------------------------------------------------
 
-int connect_to(int port, bool tiny_rcvbuf) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (tiny_rcvbuf) {
-    // A never-reading client with a tiny receive window forces response
-    // bytes to pile up on the server side, where the output-buffer cap
-    // must cut the connection.
-    int rcv = 2048;
-    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv, sizeof(rcv));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return -1;
-  }
+// A non-blocking connection for one lane; -1 when the connect fails.
+int connect_lane(int port, bool tiny_rcvbuf) {
+  // A never-reading client with a tiny receive window forces response bytes
+  // to pile up on the server side, where the output-buffer cap must cut the
+  // connection.
+  serve::LineClient client(port, 1, tiny_rcvbuf ? 2048 : 0);
+  if (!client.connected()) return -1;
+  int fd = client.release();
   int flags = fcntl(fd, F_GETFL, 0);
   fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   return fd;
-}
-
-// Blocking round-trip helper for the final liveness/accounting phase.
-bool round_trip(int fd, const std::string& request, std::string* response,
-                std::string* buf) {
-  std::string out = request + "\n";
-  std::size_t off = 0;
-  while (off < out.size()) {
-    ssize_t n = write(fd, out.data() + off, out.size() - off);
-    if (n <= 0) return false;
-    off += static_cast<std::size_t>(n);
-  }
-  for (;;) {
-    std::size_t nl = buf->find('\n');
-    if (nl != std::string::npos) {
-      *response = buf->substr(0, nl);
-      buf->erase(0, nl + 1);
-      return true;
-    }
-    char chunk[65536];
-    ssize_t n = read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return false;
-    buf->append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 }  // namespace
@@ -371,61 +320,33 @@ int main(int argc, char** argv) {
   std::size_t server_max_line = 512;
   long timeout_ms = 60000;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (std::size_t eq = a.find('='); eq != std::string::npos) {
-      inline_value = a.substr(eq + 1);
-      a = a.substr(0, eq);
-      has_inline = true;
-    }
-    auto next = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        usage();
-      }
-      return argv[++i];
-    };
-    if (a == "--port") {
-      port = static_cast<int>(parse_long(a, next().c_str(), 1, 65535));
-    } else if (a == "--port-file") {
-      port_file = next();
-    } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(
-          parse_long(a, next().c_str(), 0, 1L << 40));
-    } else if (a == "--rounds") {
-      rounds = static_cast<int>(parse_long(a, next().c_str(), 1, 4096));
-    } else if (a == "--concurrency") {
-      concurrency = static_cast<int>(parse_long(a, next().c_str(), 1, 64));
-    } else if (a == "--max-line") {
-      server_max_line = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 64, 1 << 28));
-    } else if (a == "--timeout-ms") {
-      timeout_ms = parse_long(a, next().c_str(), 1000, 3600000);
-    } else if (a == "--oracle") {
+  flags::Walker args(argc, argv, 1, usage);
+  while (args.next()) {
+    if (args.is("--port")) {
+      port = static_cast<int>(args.integer(1, 65535));
+    } else if (args.is("--port-file")) {
+      port_file = args.value();
+    } else if (args.is("--seed")) {
+      seed = static_cast<std::uint64_t>(args.integer(0, 1L << 40));
+    } else if (args.is("--rounds")) {
+      rounds = static_cast<int>(args.integer(1, 4096));
+    } else if (args.is("--concurrency")) {
+      concurrency = static_cast<int>(args.integer(1, 64));
+    } else if (args.is("--max-line")) {
+      server_max_line = static_cast<std::size_t>(args.integer(64, 1 << 28));
+    } else if (args.is("--timeout-ms")) {
+      timeout_ms = args.integer(1000, 3600000);
+    } else if (args.is("--oracle")) {
       oracle_enabled = true;
     } else {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", a.c_str());
-      usage();
+      args.unknown();
     }
   }
   if (port < 0 && port_file.empty()) usage();
+  port = serve::resolve_port(port, port_file);
   if (port < 0) {
-    for (int attempt = 0; attempt < 100 && port < 0; ++attempt) {
-      std::ifstream in(port_file);
-      int p = 0;
-      if (in >> p && p > 0) {
-        port = p;
-        break;
-      }
-      usleep(100 * 1000);
-    }
-    if (port < 0) {
-      std::fprintf(stderr, "error: no port in %s\n", port_file.c_str());
-      return 1;
-    }
+    std::fprintf(stderr, "error: no port in %s\n", port_file.c_str());
+    return 1;
   }
 
   // The full schedule is generated up front: lane kinds and payloads are a
@@ -469,7 +390,7 @@ int main(int argc, char** argv) {
     while (next_lane < lanes.size() &&
            active < static_cast<std::size_t>(concurrency)) {
       Lane& lane = lanes[next_lane++];
-      lane.fd = connect_to(port, lane.kind == Kind::kNeverRead);
+      lane.fd = connect_lane(port, lane.kind == Kind::kNeverRead);
       if (lane.fd < 0) {
         std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%d\n",
                      port);
@@ -630,93 +551,58 @@ int main(int argc, char** argv) {
   usleep(600 * 1000);
 
   // --- liveness + accounting ------------------------------------------------
-  int fd = connect_to(port, false);
-  if (fd >= 0) {
-    int flags = fcntl(fd, F_GETFL, 0);
-    fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  }
-  if (fd < 0) {
+  serve::LineClient final_client(port);
+  if (!final_client.connected()) {
     violation("server refused the post-chaos liveness connection");
   } else {
-    std::string buf;
     std::string response;
-    if (!round_trip(fd, "{\"op\":\"ping\",\"id\":\"final\"}", &response,
-                    &buf) ||
+    if (!final_client.round_trip("{\"op\":\"ping\",\"id\":\"final\"}",
+                                 &response) ||
         response.find("\"status\":\"OK\"") == std::string::npos) {
       violation("post-chaos ping failed (server dead or wedged): " +
                 response);
     }
     std::string stats_line;
     std::string metrics_line;
-    if (!round_trip(fd, "{\"op\":\"stats\"}", &stats_line, &buf) ||
-        !round_trip(fd, "{\"op\":\"metrics\"}", &metrics_line, &buf)) {
+    serve::ServeStats st;
+    json::Value registry;
+    // serve.responses.ok from the registry embedded in the metrics response;
+    // rendered after the stats response, so it covers the ping and stats
+    // round-trips exactly (see the identity below).
+    std::uint64_t responses_ok = 0;
+    if (!final_client.round_trip("{\"op\":\"stats\"}", &stats_line) ||
+        !final_client.round_trip("{\"op\":\"metrics\"}", &metrics_line)) {
       violation("post-chaos stats/metrics round-trip failed");
+    } else if (!serve::read_stats(stats_line, &st)) {
+      violation("malformed stats response: " + stats_line);
+    } else if (!serve::read_metrics(metrics_line, &registry)) {
+      violation("malformed metrics response: " + metrics_line);
+    } else if (!serve::find_counter(registry, "serve.responses.ok",
+                                    &responses_ok)) {
+      violation("serve.responses.ok missing from the metrics registry");
+    } else if (st.requests !=
+               responses_ok + st.errors + st.shed + st.deadline_exceeded) {
+      // stats.requests includes the final ping + the stats request itself;
+      // responses.ok (snapshotted one batch later, before the metrics
+      // response increments it) includes their two OK responses — the +2s
+      // cancel, so the identity is exact.
+      violation("accounting identity broken: requests=" +
+                std::to_string(st.requests) + " != responses.ok=" +
+                std::to_string(responses_ok) + " + errors=" +
+                std::to_string(st.errors) + " + shed=" +
+                std::to_string(st.shed) + " + deadline_exceeded=" +
+                std::to_string(st.deadline_exceeded));
     } else {
-      json::Value sv;
-      json::Value mv;
-      const json::Value* stats = nullptr;
-      if (!json::parse(stats_line, &sv) ||
-          (stats = sv.find("stats")) == nullptr || !stats->is_object()) {
-        violation("malformed stats response: " + stats_line);
-      } else if (!json::parse(metrics_line, &mv)) {
-        violation("malformed metrics response: " + metrics_line);
-      } else {
-        auto counter = [&](const char* key) -> std::uint64_t {
-          const json::Value* c = stats->find(key);
-          return c != nullptr && c->is_number()
-                     ? static_cast<std::uint64_t>(c->number)
-                     : 0;
-        };
-        std::uint64_t requests = counter("requests");
-        std::uint64_t errors = counter("errors");
-        std::uint64_t shed = counter("shed");
-        std::uint64_t deadline_exceeded = counter("deadline_exceeded");
-        // serve.responses.ok from the registry embedded in the metrics
-        // response; rendered after the stats response, so it covers the
-        // ping and stats round-trips exactly (see the identity below).
-        std::uint64_t responses_ok = 0;
-        bool found = false;
-        if (const json::Value* m = mv.find("metrics")) {
-          if (const json::Value* counters = m->find("counters")) {
-            for (const json::Value& c : counters->array) {
-              const json::Value* name = c.find("name");
-              const json::Value* value = c.find("value");
-              if (name != nullptr && name->is_string() &&
-                  name->string == "serve.responses.ok" && value != nullptr) {
-                responses_ok = static_cast<std::uint64_t>(value->number);
-                found = true;
-              }
-            }
-          }
-        }
-        if (!found) {
-          violation("serve.responses.ok missing from the metrics registry");
-        } else if (requests != responses_ok + errors + shed +
-                                   deadline_exceeded) {
-          // stats.requests includes the final ping + the stats request
-          // itself; responses.ok (snapshotted one batch later, before the
-          // metrics response increments it) includes their two OK
-          // responses — the +2s cancel, so the identity is exact.
-          violation(
-              "accounting identity broken: requests=" +
-              std::to_string(requests) + " != responses.ok=" +
-              std::to_string(responses_ok) + " + errors=" +
-              std::to_string(errors) + " + shed=" + std::to_string(shed) +
-              " + deadline_exceeded=" + std::to_string(deadline_exceeded));
-        } else {
-          std::fprintf(stderr,
-                       "dyncg_chaos: accounting holds: %llu requests = "
-                       "%llu ok + %llu errors + %llu shed + %llu "
-                       "deadline_exceeded\n",
-                       static_cast<unsigned long long>(requests),
-                       static_cast<unsigned long long>(responses_ok),
-                       static_cast<unsigned long long>(errors),
-                       static_cast<unsigned long long>(shed),
-                       static_cast<unsigned long long>(deadline_exceeded));
-        }
-      }
+      std::fprintf(stderr,
+                   "dyncg_chaos: accounting holds: %llu requests = "
+                   "%llu ok + %llu errors + %llu shed + %llu "
+                   "deadline_exceeded\n",
+                   static_cast<unsigned long long>(st.requests),
+                   static_cast<unsigned long long>(responses_ok),
+                   static_cast<unsigned long long>(st.errors),
+                   static_cast<unsigned long long>(st.shed),
+                   static_cast<unsigned long long>(st.deadline_exceeded));
     }
-    close(fd);
   }
 
   double elapsed =

@@ -49,7 +49,6 @@
 // (malformed motion file or fault spec); 6 unsupported input; 7
 // unrecoverable fault.  Library input validation is surfaced as returned
 // Status errors, never aborts.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,6 +67,7 @@
 #include "poly/kernels.hpp"
 #include "steady/machine_geometry.hpp"
 #include "support/fatal.hpp"
+#include "support/flags.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 #include "support/thread_pool.hpp"
@@ -101,7 +101,10 @@ bool g_fault_report = false;
 // --trace-out path, visible to the fatal-flush hook.
 std::string g_trace_out;
 
-[[noreturn]] void usage(const char* argv0) {
+// argv[0], named by the usage line.
+const char* g_argv0 = "dyncg_cli";
+
+[[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: %s <neighbor|pairs|collisions|hullwhen|contain|steady|"
                "envelope|topo> [--n N] [--k K] [--d D] [--seed S] "
@@ -109,127 +112,74 @@ std::string g_trace_out;
                "[--farthest] [--adaptive] [--box w,h,...] [--file PATH] "
                "[--threads T] [--simd scalar|avx2|auto] [--faults SPEC] "
                "[--fault-report] [--trace-out FILE]\n",
-               argv0);
+               g_argv0);
   std::exit(2);
 }
 
-[[noreturn]] void flag_error(const char* argv0, const std::string& flag,
-                             const std::string& what,
-                             const std::string& got) {
-  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag.c_str(),
-               what.c_str(), got.c_str());
-  usage(argv0);
-}
-
-// Strict numeric parsing: the whole token must be a number in range.  A
-// typo like `--n 1O24` or `--k ""` is a hard error, never a silent zero.
-long parse_long(const char* argv0, const std::string& flag, const char* tok,
-                long min_value, long max_value) {
-  char* end = nullptr;
-  errno = 0;
-  long v = std::strtol(tok, &end, 10);
-  if (end == tok || *end != '\0' || errno == ERANGE || v < min_value ||
-      v > max_value) {
-    flag_error(argv0, flag, "an integer in [" + std::to_string(min_value) +
-                                ", " + std::to_string(max_value) + "]",
-               tok);
-  }
-  return v;
-}
-
-double parse_double(const char* argv0, const std::string& flag,
-                    const std::string& tok) {
-  char* end = nullptr;
-  double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
-    flag_error(argv0, flag, "a number", tok);
-  }
-  return v;
-}
-
 Options parse(int argc, char** argv) {
-  if (argc < 2) usage(argv[0]);
+  g_argv0 = argv[0];
+  if (argc < 2) usage();
   Options o;
   o.command = argv[1];
   constexpr long kMaxSize = 1L << 40;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    // --flag=value is accepted everywhere a value flag is.
-    std::string inline_value;
-    bool has_inline = false;
-    if (std::size_t eq = a.find('='); eq != std::string::npos) {
-      inline_value = a.substr(eq + 1);
-      a = a.substr(0, eq);
-      has_inline = true;
-    }
-    auto next = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (a == "--n") {
-      o.n = static_cast<std::size_t>(
-          parse_long(argv[0], a, next().c_str(), 1, kMaxSize));
-    } else if (a == "--k") {
-      o.k = static_cast<int>(parse_long(argv[0], a, next().c_str(), 0, 64));
-    } else if (a == "--d") {
-      o.d = static_cast<std::size_t>(
-          parse_long(argv[0], a, next().c_str(), 1, 64));
-    } else if (a == "--seed") {
-      o.seed = static_cast<std::uint64_t>(
-          parse_long(argv[0], a, next().c_str(), 0, kMaxSize));
-    } else if (a == "--machine") {
-      o.machine = next();
+  flags::Walker args(argc, argv, 2, usage);
+  while (args.next()) {
+    if (args.is("--n")) {
+      o.n = static_cast<std::size_t>(args.integer(1, kMaxSize));
+    } else if (args.is("--k")) {
+      o.k = static_cast<int>(args.integer(0, 64));
+    } else if (args.is("--d")) {
+      o.d = static_cast<std::size_t>(args.integer(1, 64));
+    } else if (args.is("--seed")) {
+      o.seed = static_cast<std::uint64_t>(args.integer(0, kMaxSize));
+    } else if (args.is("--machine")) {
+      o.machine = args.value();
       if (o.machine != "mesh" && o.machine != "hypercube" &&
           o.machine != "ccc" && o.machine != "shuffle") {
-        flag_error(argv[0], a, "mesh|hypercube|ccc|shuffle", o.machine);
+        args.expected("mesh|hypercube|ccc|shuffle", o.machine);
       }
-    } else if (a == "--query") {
-      o.query = static_cast<std::size_t>(
-          parse_long(argv[0], a, next().c_str(), 0, kMaxSize));
-    } else if (a == "--farthest") {
+    } else if (args.is("--query")) {
+      o.query = static_cast<std::size_t>(args.integer(0, kMaxSize));
+    } else if (args.is("--farthest")) {
       o.farthest = true;
-    } else if (a == "--adaptive") {
+    } else if (args.is("--adaptive")) {
       o.adaptive = true;
-    } else if (a == "--file") {
-      o.file = next();
-      if (o.file.empty()) flag_error(argv[0], a, "a path", "");
-    } else if (a == "--faults") {
-      o.faults = next();
-      if (o.faults.empty()) flag_error(argv[0], a, "a fault spec", "");
-    } else if (a == "--fault-report") {
+    } else if (args.is("--file")) {
+      o.file = args.value();
+      if (o.file.empty()) args.expected("a path", "");
+    } else if (args.is("--faults")) {
+      o.faults = args.value();
+      if (o.faults.empty()) args.expected("a fault spec", "");
+    } else if (args.is("--fault-report")) {
       o.fault_report = true;
-    } else if (a == "--trace-out") {
-      o.trace_out = next();
-      if (o.trace_out.empty()) flag_error(argv[0], a, "a path", "");
-    } else if (a == "--threads") {
-      std::string t = next();
-      long v = parse_long(argv[0], a, t.c_str(), 0, 1024);
-      set_host_threads(static_cast<unsigned>(v));
-    } else if (a == "--simd") {
-      std::string mode = next();
+    } else if (args.is("--trace-out")) {
+      o.trace_out = args.value();
+      if (o.trace_out.empty()) args.expected("a path", "");
+    } else if (args.is("--threads")) {
+      set_host_threads(static_cast<unsigned>(args.integer(0, 1024)));
+    } else if (args.is("--simd")) {
+      std::string mode = args.value();
       if (Status s = kernels::set_simd_mode(mode); !s.is_ok()) {
-        flag_error(argv[0], a, "scalar|avx2|auto", mode);
+        args.expected("scalar|avx2|auto", mode);
       }
-    } else if (a == "--box") {
-      std::string spec = next();
-      if (spec.empty()) flag_error(argv[0], a, "w,h,...", "");
+    } else if (args.is("--box")) {
+      std::string spec = args.value();
+      if (spec.empty()) args.expected("w,h,...", "");
       std::size_t pos = 0;
       while (pos <= spec.size()) {
         std::size_t comma = spec.find(',', pos);
         std::size_t len =
             (comma == std::string::npos ? spec.size() : comma) - pos;
-        o.box.push_back(
-            parse_double(argv[0], a, spec.substr(pos, len)));
+        const std::string tok = spec.substr(pos, len);
+        char* end = nullptr;
+        double v = std::strtod(tok.c_str(), &end);
+        if (end == tok.c_str() || *end != '\0') args.expected("a number", tok);
+        o.box.push_back(v);
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
     } else {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", a.c_str());
-      usage(argv[0]);
+      args.unknown();
     }
   }
   return o;
@@ -413,7 +363,7 @@ int cmd_topo(const Options& o) {
 
 }  // namespace
 
-int run_command(const Options& o, const char* argv0) {
+int run_command(const Options& o) {
   if (o.command == "neighbor") return cmd_neighbor(o);
   if (o.command == "pairs") return cmd_pairs(o);
   if (o.command == "collisions") return cmd_collisions(o);
@@ -423,7 +373,7 @@ int run_command(const Options& o, const char* argv0) {
   if (o.command == "envelope") return cmd_envelope(o);
   if (o.command == "topo") return cmd_topo(o);
   std::fprintf(stderr, "error: unknown command '%s'\n", o.command.c_str());
-  usage(argv0);
+  usage();
 }
 
 int main(int argc, char** argv) {
@@ -450,7 +400,7 @@ int main(int argc, char** argv) {
       if (!g_trace_out.empty()) trace::write(g_trace_out);
     });
   }
-  int rc = run_command(o, argv[0]);
+  int rc = run_command(o);
   if (!o.trace_out.empty()) {
     if (!trace::write(o.trace_out)) {
       std::fprintf(stderr, "error: cannot write trace file '%s'\n",

@@ -71,14 +71,8 @@
 // request is printed so the failure is attributable).  SIGPIPE is ignored
 // so a write into a dead socket reports code 8 instead of killing the
 // process silently.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -87,16 +81,18 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dyncg/motion.hpp"
 #include "envelope/dynamic_envelope.hpp"
 #include "envelope/scenario_key.hpp"
 #include "poly/kernels.hpp"
-#include "serve/engine.hpp"
+#include "serve/client.hpp"
 #include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
-#include "support/build_info.hpp"
+#include "support/bench_report.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -114,74 +110,6 @@ using namespace dyncg;
                "[--stream N] [--seed S] [--threads T]\n");
   std::exit(2);
 }
-
-long parse_long(const std::string& flag, const char* tok, long min_value,
-                long max_value) {
-  char* end = nullptr;
-  long v = std::strtol(tok, &end, 10);
-  if (end == tok || *end != '\0' || v < min_value || v > max_value) {
-    std::fprintf(stderr,
-                 "error: %s expects an integer in [%ld, %ld], got '%s'\n",
-                 flag.c_str(), min_value, max_value, tok);
-    usage();
-  }
-  return v;
-}
-
-// Blocking line-oriented client socket.
-class Client {
- public:
-  bool connect_to(int port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    // The server may still be between fork and listen; retry briefly.
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      if (connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-          0) {
-        return true;
-      }
-      usleep(100 * 1000);
-    }
-    return false;
-  }
-  ~Client() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  bool send_line(const std::string& line) {
-    std::string out = line + "\n";
-    std::size_t off = 0;
-    while (off < out.size()) {
-      ssize_t n = write(fd_, out.data() + off, out.size() - off);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool recv_line(std::string* line) {
-    for (;;) {
-      std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        *line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return true;
-      }
-      char chunk[65536];
-      ssize_t n = read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return false;
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
-};
 
 struct ResponseFacts {
   bool ok = false;
@@ -239,13 +167,8 @@ int connection_lost(const std::string& request_line) {
 // --oracle: recompute the request in-process and byte-compare.
 bool oracle_check(const std::string& request_line,
                   const ResponseFacts& facts) {
-  StatusOr<serve::Request> req = serve::parse_request(request_line);
-  if (!req.is_ok()) return !facts.ok;  // both sides must reject
-  const serve::Request& r = req.value();
-  if (serve::is_admin_op(r.op)) return true;
-  StatusOr<serve::CachedResult> want = serve::run_query(r);
-  if (!want.is_ok()) return !facts.ok;
-  return facts.ok && facts.result == want.value().text;
+  return serve::check_against_oracle(request_line, facts.ok, facts.result) ==
+         serve::OracleVerdict::kAgrees;
 }
 
 // ---- stream mode helpers ----
@@ -311,37 +234,16 @@ bool stream_oracle_check(const std::string& response,
          key->string == fingerprint_hex(oracle.state_fingerprint());
 }
 
-double percentile(std::vector<double> sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0;
-  std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_ms.size() - 1) + 0.5);
-  return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
-}
-
-// Exact percentile over integer simulated-cost figures: the same
-// nearest-rank rule as percentile(), but the selected value is returned
-// untouched — no floating arithmetic on the figures themselves, so the
-// result is byte-exact across runs and thread counts.
-std::uint64_t percentile_u64(const std::vector<std::uint64_t>& sorted,
-                             double p) {
+// Nearest-rank percentile of a sorted sample.  The selected value is
+// returned untouched — no floating arithmetic on the figures themselves, so
+// over integer simulated-cost figures the result is byte-exact across runs
+// and thread counts.
+template <class T>
+T percentile(const std::vector<T>& sorted, double p) {
   if (sorted.empty()) return 0;
   std::size_t idx = static_cast<std::size_t>(
       p * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-std::string stamp_git_rev() {
-#if defined(DYNCG_SOURCE_DIR)
-  const char* src = DYNCG_SOURCE_DIR;
-#else
-  const char* src = nullptr;
-#endif
-#if defined(DYNCG_GIT_REV)
-  const char* baked = DYNCG_GIT_REV;
-#else
-  const char* baked = nullptr;
-#endif
-  return git_revision(src, baked);
 }
 
 }  // namespace
@@ -373,101 +275,66 @@ int main(int argc, char** argv) {
   std::size_t stream_steps = 0;
   std::uint64_t stream_seed = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (std::size_t eq = a.find('='); eq != std::string::npos) {
-      inline_value = a.substr(eq + 1);
-      a = a.substr(0, eq);
-      has_inline = true;
-    }
-    auto next = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        usage();
-      }
-      return argv[++i];
-    };
-    if (a == "--port") {
-      port = static_cast<int>(parse_long(a, next().c_str(), 1, 65535));
-    } else if (a == "--port-file") {
-      port_file = next();
-    } else if (a == "--ops") {
+  flags::Walker args(argc, argv, 1, usage);
+  while (args.next()) {
+    if (args.is("--port")) {
+      port = static_cast<int>(args.integer(1, 65535));
+    } else if (args.is("--port-file")) {
+      port_file = args.value();
+    } else if (args.is("--ops")) {
       ops.clear();
-      std::string spec = next();
-      std::stringstream ss(spec);
+      std::stringstream ss(args.value());
       std::string op;
       while (std::getline(ss, op, ',')) {
         if (op != "neighbor" && op != "pairs" && op != "collisions" &&
             op != "hullwhen" && op != "contain" && op != "steady") {
-          std::fprintf(stderr, "error: unknown op '%s'\n", op.c_str());
-          usage();
+          args.fail("unknown op '" + op + "'");
         }
         ops.push_back(op);
       }
       if (ops.empty()) usage();
-    } else if (a == "--scenarios") {
-      scenarios =
-          static_cast<std::size_t>(parse_long(a, next().c_str(), 1, 8));
-    } else if (a == "--repeats") {
-      repeats =
-          static_cast<std::size_t>(parse_long(a, next().c_str(), 1, 1000));
-    } else if (a == "--n") {
-      base_n =
-          static_cast<std::size_t>(parse_long(a, next().c_str(), 2, 512));
-    } else if (a == "--machine") {
-      machine = next();
+    } else if (args.is("--scenarios")) {
+      scenarios = static_cast<std::size_t>(args.integer(1, 8));
+    } else if (args.is("--repeats")) {
+      repeats = static_cast<std::size_t>(args.integer(1, 1000));
+    } else if (args.is("--n")) {
+      base_n = static_cast<std::size_t>(args.integer(2, 512));
+    } else if (args.is("--machine")) {
+      machine = args.value();
       if (machine != "mesh" && machine != "hypercube") usage();
-    } else if (a == "--json") {
-      json_out = next();
-    } else if (a == "--send") {
-      send_file = next();
-    } else if (a == "--results-out") {
-      results_out = next();
-    } else if (a == "--decode") {
+    } else if (args.is("--json")) {
+      json_out = args.value();
+    } else if (args.is("--send")) {
+      send_file = args.value();
+    } else if (args.is("--results-out")) {
+      results_out = args.value();
+    } else if (args.is("--decode")) {
       decode = true;
-    } else if (a == "--pipeline") {
+    } else if (args.is("--pipeline")) {
       pipeline = true;
-    } else if (a == "--oracle") {
+    } else if (args.is("--oracle")) {
       oracle = true;
-    } else if (a == "--stream") {
-      stream_steps =
-          static_cast<std::size_t>(parse_long(a, next().c_str(), 1, 100000));
-    } else if (a == "--seed") {
+    } else if (args.is("--stream")) {
+      stream_steps = static_cast<std::size_t>(args.integer(1, 100000));
+    } else if (args.is("--seed")) {
       // Same 2^40 cap as scenario seeds on the wire.
-      stream_seed = static_cast<std::uint64_t>(
-          parse_long(a, next().c_str(), 0, 1L << 40));
-    } else if (a == "--threads") {
-      set_host_threads(
-          static_cast<unsigned>(parse_long(a, next().c_str(), 0, 1024)));
+      stream_seed = static_cast<std::uint64_t>(args.integer(0, 1L << 40));
+    } else if (args.is("--threads")) {
+      set_host_threads(static_cast<unsigned>(args.integer(0, 1024)));
     } else {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", a.c_str());
-      usage();
+      args.unknown();
     }
   }
 
   if (port < 0 && port_file.empty()) usage();
+  port = serve::resolve_port(port, port_file);
   if (port < 0) {
-    // The server writes the file after binding; poll briefly.
-    for (int attempt = 0; attempt < 100 && port < 0; ++attempt) {
-      std::ifstream in(port_file);
-      int p = 0;
-      if (in >> p && p > 0) {
-        port = p;
-        break;
-      }
-      usleep(100 * 1000);
-    }
-    if (port < 0) {
-      std::fprintf(stderr, "error: no port in %s\n", port_file.c_str());
-      return 1;
-    }
+    std::fprintf(stderr, "error: no port in %s\n", port_file.c_str());
+    return 1;
   }
 
-  Client client;
-  if (!client.connect_to(port)) {
+  serve::LineClient client(port, /*attempts=*/50);
+  if (!client.connected()) {
     std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%d\n", port);
     return 1;
   }
@@ -560,7 +427,7 @@ int main(int argc, char** argv) {
 
     auto round_trip_ok = [&](const std::string& line,
                              std::string* response) -> bool {
-      if (!client.send_line(line) || !client.recv_line(response)) {
+      if (!client.round_trip(line, response)) {
         std::exit(connection_lost(line));
       }
       json::Value v;
@@ -765,7 +632,7 @@ int main(int argc, char** argv) {
     for (Probe& p : grid) {
       const clock::time_point a = clock::now();
       std::string response;
-      if (!client.send_line(p.line) || !client.recv_line(&response)) {
+      if (!client.round_trip(p.line, &response)) {
         return connection_lost(p.line);
       }
       latency_ms.push_back(
@@ -797,60 +664,34 @@ int main(int argc, char** argv) {
   const double host_seconds =
       std::chrono::duration<double>(clock::now() - t0).count();
 
-  std::string stats_line;
   serve::ServeStats st;
-  {
-    if (!client.send_line("{\"op\":\"stats\"}") ||
-        !client.recv_line(&stats_line)) {
-      return connection_lost("{\"op\":\"stats\"}");
-    }
-    json::Value v;
-    const json::Value* stats = nullptr;
-    if (!json::parse(stats_line, &v) ||
-        (stats = v.find("stats")) == nullptr || !stats->is_object()) {
-      std::fprintf(stderr, "error: malformed stats response: %s\n",
-                   stats_line.c_str());
-      return 5;
-    }
-    auto counter = [&](const char* key) -> std::uint64_t {
-      const json::Value* c = stats->find(key);
-      return c != nullptr ? static_cast<std::uint64_t>(c->number) : 0;
-    };
-    st.connections = counter("connections");
-    st.requests = counter("requests");
-    st.errors = counter("errors");
-    st.rejected = counter("rejected");
-    st.batches = counter("batches");
-    st.hits = counter("hits");
-    st.misses = counter("misses");
-    st.evictions = counter("evictions");
-    st.entries = counter("entries");
+  std::string stats_line;
+  if (!client.round_trip("{\"op\":\"stats\"}", &stats_line)) {
+    return connection_lost("{\"op\":\"stats\"}");
+  }
+  if (!serve::read_stats(stats_line, &st)) {
+    std::fprintf(stderr, "error: malformed stats response: %s\n",
+                 stats_line.c_str());
+    return 5;
   }
 
   // Full metrics registry (re-serialized canonically via json::dump so the
   // embedded object is byte-stable for the bench gate's exact compare).
-  std::string metrics_dump;
-  {
-    std::string metrics_line;
-    if (!client.send_line("{\"op\":\"metrics\"}") ||
-        !client.recv_line(&metrics_line)) {
-      return connection_lost("{\"op\":\"metrics\"}");
-    }
-    json::Value v;
-    const json::Value* m = nullptr;
-    if (!json::parse(metrics_line, &v) || (m = v.find("metrics")) == nullptr ||
-        !m->is_object()) {
-      std::fprintf(stderr, "error: malformed metrics response: %s\n",
-                   metrics_line.c_str());
-      return 5;
-    }
-    metrics_dump = json::dump(*m);
+  std::string metrics_line;
+  json::Value registry;
+  if (!client.round_trip("{\"op\":\"metrics\"}", &metrics_line)) {
+    return connection_lost("{\"op\":\"metrics\"}");
+  }
+  if (!serve::read_metrics(metrics_line, &registry)) {
+    std::fprintf(stderr, "error: malformed metrics response: %s\n",
+                 metrics_line.c_str());
+    return 5;
   }
 
   std::sort(latency_ms.begin(), latency_ms.end());
   std::sort(sim_rounds.begin(), sim_rounds.end());
-  const std::uint64_t sim_p50 = percentile_u64(sim_rounds, 0.50);
-  const std::uint64_t sim_p99 = percentile_u64(sim_rounds, 0.99);
+  const std::uint64_t sim_p50 = percentile(sim_rounds, 0.50);
+  const std::uint64_t sim_p99 = percentile(sim_rounds, 0.99);
   const double rps =
       host_seconds > 0 ? static_cast<double>(sent) / host_seconds : 0;
   std::fprintf(stderr,
@@ -870,35 +711,11 @@ int main(int argc, char** argv) {
   // (docs/SERVING.md#bench).  `tables` holds only deterministic figures —
   // simulated rounds and exact cache counters — so dyncg_bench_diff can
   // gate them; rps/latency live in `serve`, which the gate ignores.
+  BenchHeader header;
+  header.name = "serve";
+  header.host_seconds = host_seconds;  // bench-mode requests carry no faults
   json::Writer w;
-  w.begin_object();
-  w.key("schema_version");
-  w.value(std::int64_t{2});
-  w.key("kind");
-  w.value("dyncg-bench");
-  w.key("name");
-  w.value("serve");
-  w.key("git_rev");
-  w.value(stamp_git_rev());
-  w.key("config");
-  w.begin_object();
-  w.key("threads");
-  w.value(std::uint64_t{host_threads()});
-  w.key("dispatch");
-  w.value(kernels::active_simd_name());
-  w.end_object();
-  w.key("faults");
-  w.begin_object();
-  w.key("spec");
-  w.value("");  // bench-mode requests carry no fault plans
-  for (const char* key : {"link_down_hits", "pe_down_hits", "words_dropped",
-                          "retries", "detour_rounds", "remaps"}) {
-    w.key(key);
-    w.value(std::uint64_t{0});
-  }
-  w.end_object();
-  w.key("host_seconds");
-  w.value(host_seconds);
+  begin_bench_report(&w, header);
   w.key("serve");
   w.begin_object();
   w.key("requests");
@@ -927,107 +744,37 @@ int main(int argc, char** argv) {
   // The server's full metrics registry at end of run; its
   // stability=deterministic entries join the gate's exact compare.
   w.key("metrics");
-  w.value_raw(metrics_dump);
-  w.key("tables");
-  w.begin_array();
-  w.begin_object();
-  w.key("title");
-  w.value("serve: query mix on " + machine);
-  w.key("rows");
-  w.begin_array();
+  w.value_raw(json::dump(registry));
+
+  // Per-op simulated rounds over the n sweep, then exact cache-counter rows:
+  // deterministic because the request stream is a single ordered connection
+  // and the cache protocol is sequential.
+  BenchTable mix{"serve: query mix on " + machine, {}};
   for (const std::string& op : ops) {
-    w.begin_object();
-    w.key("problem");
-    w.value(op + " @ " + machine);
-    w.key("claim");
-    w.value("docs/SERVING.md");
-    // Slope of simulated rounds over the n sweep (matches the bench
-    // harness's loglog fit; 0 when the sweep has a single point).
-    std::vector<double> xs;
-    std::vector<double> ys;
-    for (const Probe& p : grid) {
-      if (p.op == op) {
-        xs.push_back(static_cast<double>(base_n << p.scenario));
-        ys.push_back(p.rounds > 0 ? p.rounds : 1);
-      }
-    }
-    double slope = 0;
-    if (xs.size() >= 2) {
-      double sx = 0, sy = 0, sxx = 0, sxy = 0;
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        double lx = std::log(xs[i]);
-        double ly = std::log(ys[i]);
-        sx += lx;
-        sy += ly;
-        sxx += lx * lx;
-        sxy += lx * ly;
-      }
-      double n = static_cast<double>(xs.size());
-      slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-    }
-    w.key("slope");
-    w.value(slope);
-    w.key("points");
-    w.begin_array();
+    BenchRow row{op + " @ " + machine, {}, {}, "docs/SERVING.md"};
     for (const Probe& p : grid) {
       if (p.op != op) continue;
-      w.begin_object();
-      w.key("n");
-      w.value(static_cast<double>(base_n << p.scenario));
-      w.key("rounds");
-      w.value(p.rounds);
-      w.end_object();
+      row.n.push_back(static_cast<double>(base_n << p.scenario));
+      row.rounds.push_back(p.rounds);
     }
-    w.end_array();
-    w.end_object();
+    mix.rows.push_back(std::move(row));
   }
-  w.end_array();
-  w.end_object();
-  // Exact cache-counter rows: deterministic because the request stream is a
-  // single ordered connection and the cache protocol is sequential.
-  w.begin_object();
-  w.key("title");
-  w.value("serve: cache counters");
-  w.key("rows");
-  w.begin_array();
-  struct CounterRow {
-    const char* problem;
-    std::uint64_t value;
-  };
-  const CounterRow rows[] = {
+  BenchTable counters{"serve: cache counters", {}};
+  const std::pair<const char*, std::uint64_t> counter_rows[] = {
       {"cache hits", st.hits},
       {"cache misses", st.misses},
       {"cache evictions", st.evictions},
   };
-  for (const CounterRow& row : rows) {
-    w.begin_object();
-    w.key("problem");
-    w.value(row.problem);
-    w.key("claim");
-    w.value("exact (FIFO cache, ordered stream)");
-    w.key("slope");
-    w.value(0.0);
-    w.key("points");
-    w.begin_array();
-    w.begin_object();
-    w.key("n");
-    w.value(static_cast<double>(sent));
-    w.key("rounds");
-    w.value(static_cast<double>(row.value));
-    w.end_object();
-    w.end_array();
-    w.end_object();
+  for (const auto& [problem, value] : counter_rows) {
+    counters.rows.push_back(BenchRow{problem,
+                                     {static_cast<double>(sent)},
+                                     {static_cast<double>(value)},
+                                     "exact (FIFO cache, ordered stream)"});
   }
-  w.end_array();
-  w.end_object();
-  w.end_array();
+  write_bench_tables(&w, {mix, counters});
   w.end_object();
 
-  if (std::FILE* f = std::fopen(json_out.c_str(), "w")) {
-    std::fwrite(w.str().data(), 1, w.str().size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-  } else {
+  if (!write_json_file(json_out, w)) {
     std::fprintf(stderr, "error: cannot write %s\n", json_out.c_str());
     return 1;
   }

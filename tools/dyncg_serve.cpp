@@ -74,6 +74,7 @@
 #include "poly/kernels.hpp"
 #include "serve/server.hpp"
 #include "support/build_info.hpp"
+#include "support/flags.hpp"
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -110,32 +111,6 @@ void on_flush_signal(int) {
   std::exit(2);
 }
 
-std::string stamp_git_rev() {
-#if defined(DYNCG_SOURCE_DIR)
-  const char* src = DYNCG_SOURCE_DIR;
-#else
-  const char* src = nullptr;
-#endif
-#if defined(DYNCG_GIT_REV)
-  const char* baked = DYNCG_GIT_REV;
-#else
-  const char* baked = nullptr;
-#endif
-  return git_revision(src, baked);
-}
-
-long parse_long(const std::string& flag, const char* tok, long min_value,
-                long max_value) {
-  char* end = nullptr;
-  long v = std::strtol(tok, &end, 10);
-  if (end == tok || *end != '\0' || v < min_value || v > max_value) {
-    std::fprintf(stderr, "error: %s expects an integer in [%ld, %ld], got '%s'\n",
-                 flag.c_str(), min_value, max_value, tok);
-    usage();
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -153,87 +128,58 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (std::size_t eq = a.find('='); eq != std::string::npos) {
-      inline_value = a.substr(eq + 1);
-      a = a.substr(0, eq);
-      has_inline = true;
-    }
-    auto next = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", a.c_str());
-        usage();
-      }
-      return argv[++i];
-    };
-    if (a == "--port") {
-      opt.port = static_cast<int>(parse_long(a, next().c_str(), 0, 65535));
-    } else if (a == "--port-file") {
-      opt.port_file = next();
+  flags::Walker args(argc, argv, 1, usage);
+  while (args.next()) {
+    if (args.is("--port")) {
+      opt.port = static_cast<int>(args.integer(0, 65535));
+    } else if (args.is("--port-file")) {
+      opt.port_file = args.value();
       if (opt.port_file.empty()) usage();
-    } else if (a == "--queue-cap") {
-      opt.queue_cap = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 1, 1 << 20));
-    } else if (a == "--batch-cap") {
-      opt.batch_cap = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 1, 1 << 20));
-    } else if (a == "--cache-cap") {
-      opt.cache_cap = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 0, 1 << 24));
-    } else if (a == "--max-line") {
-      opt.max_line = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 64, 1 << 28));
-    } else if (a == "--max-conns") {
-      opt.max_conns = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 1, 4096));
-    } else if (a == "--deadline-ms") {
-      opt.deadline_ms = static_cast<std::uint64_t>(
-          parse_long(a, next().c_str(), 0, 3600000));
-    } else if (a == "--drain-ms") {
-      opt.drain_ms = static_cast<std::uint64_t>(
-          parse_long(a, next().c_str(), 0, 3600000));
-    } else if (a == "--stall-timeout-ms") {
-      opt.stall_timeout_ms = static_cast<std::uint64_t>(
-          parse_long(a, next().c_str(), 0, 86400000));
-    } else if (a == "--max-out-buf") {
-      opt.max_out_buf = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 1024, 1 << 30));
-    } else if (a == "--max-fleets") {
-      opt.max_fleets = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 0, 1 << 16));
-    } else if (a == "--max-fleet-members") {
-      opt.max_fleet_members = static_cast<std::size_t>(
-          parse_long(a, next().c_str(), 1, 1 << 20));
-    } else if (a == "--threads") {
-      set_host_threads(
-          static_cast<unsigned>(parse_long(a, next().c_str(), 0, 1024)));
-    } else if (a == "--simd") {
-      if (Status s = kernels::set_simd_mode(next()); !s.is_ok()) {
-        std::fprintf(stderr, "error: %s\n", s.message().c_str());
-        usage();
+    } else if (args.is("--queue-cap")) {
+      opt.queue_cap = static_cast<std::size_t>(args.integer(1, 1 << 20));
+    } else if (args.is("--batch-cap")) {
+      opt.batch_cap = static_cast<std::size_t>(args.integer(1, 1 << 20));
+    } else if (args.is("--cache-cap")) {
+      opt.cache_cap = static_cast<std::size_t>(args.integer(0, 1 << 24));
+    } else if (args.is("--max-line")) {
+      opt.max_line = static_cast<std::size_t>(args.integer(64, 1 << 28));
+    } else if (args.is("--max-conns")) {
+      opt.max_conns = static_cast<std::size_t>(args.integer(1, 4096));
+    } else if (args.is("--deadline-ms")) {
+      opt.deadline_ms = static_cast<std::uint64_t>(args.integer(0, 3600000));
+    } else if (args.is("--drain-ms")) {
+      opt.drain_ms = static_cast<std::uint64_t>(args.integer(0, 3600000));
+    } else if (args.is("--stall-timeout-ms")) {
+      opt.stall_timeout_ms =
+          static_cast<std::uint64_t>(args.integer(0, 86400000));
+    } else if (args.is("--max-out-buf")) {
+      opt.max_out_buf = static_cast<std::size_t>(args.integer(1024, 1 << 30));
+    } else if (args.is("--max-fleets")) {
+      opt.max_fleets = static_cast<std::size_t>(args.integer(0, 1 << 16));
+    } else if (args.is("--max-fleet-members")) {
+      opt.max_fleet_members = static_cast<std::size_t>(args.integer(1, 1 << 20));
+    } else if (args.is("--threads")) {
+      set_host_threads(static_cast<unsigned>(args.integer(0, 1024)));
+    } else if (args.is("--simd")) {
+      if (Status s = kernels::set_simd_mode(args.value()); !s.is_ok()) {
+        args.fail(s.message());
       }
-    } else if (a == "--trace-out") {
-      trace_out = next();
+    } else if (args.is("--trace-out")) {
+      trace_out = args.value();
       if (trace_out.empty()) usage();
-    } else if (a == "--metrics-out") {
-      opt.metrics_out = next();
+    } else if (args.is("--metrics-out")) {
+      opt.metrics_out = args.value();
       if (opt.metrics_out.empty()) usage();
-    } else if (a == "--metrics-interval") {
-      opt.metrics_interval_s =
-          static_cast<unsigned>(parse_long(a, next().c_str(), 0, 86400));
+    } else if (args.is("--metrics-interval")) {
+      opt.metrics_interval_s = static_cast<unsigned>(args.integer(0, 86400));
     } else {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", a.c_str());
-      usage();
+      args.unknown();
     }
   }
 
   if (!trace_out.empty()) trace::enable();
   opt.trace_out = trace_out;
-  opt.git_rev = stamp_git_rev();
+  opt.git_rev = git_revision();
   metrics::enable();  // the serving path is always observable
 
   serve::Server server(opt);
