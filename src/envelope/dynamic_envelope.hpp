@@ -30,8 +30,10 @@
 //     pair from t = 0 and filters them into the query interval, so a root
 //     never depends on which overlay cell asked for it.  (PolyFamily
 //     brackets from the cell's left endpoint, which makes envelope bytes
-//     depend on the merge shape — fine for one-shot builds, fatal for an
-//     incremental structure whose merge shape is its update history.)
+//     depend on the merge shape — fine for one-shot builds, which all walk
+//     the one merge tree of pieces/envelope_serial.hpp and so agree bit for
+//     bit, fatal for an incremental structure whose merge shape is its
+//     update history.)
 //     With global roots the pairwise combine is shape-independent: every
 //     interior breakpoint of the final envelope is the crossing of the two
 //     adjacent winners, computed from the same start point no matter when

@@ -3,11 +3,11 @@
 #include <vector>
 
 #include "machine/machine.hpp"
+#include "pieces/envelope_serial.hpp"
 #include "pieces/piecewise.hpp"
 #include "support/ackermann.hpp"
 #include "support/assert.hpp"
 #include "support/status.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 // Parallel construction of the minimum (or maximum) function — the paper's
@@ -88,69 +88,40 @@ PiecewiseFn parallel_envelope(Machine& m, const Family& fam, int s_bound,
 
   // Distributed state: per-string envelopes, pieces left-justified one per
   // PE.  strings[b] is the envelope owned by the b-th string of the current
-  // level.
-  std::vector<PiecewiseFn> strings(n2);
+  // level; the merge tree is the one every one-shot build walks
+  // (pieces/envelope_serial.hpp), so the strings past the last member,
+  // empty on the machine, are never materialized.
   m.charge_local(1);  // step 0: every PE forms its singleton piece list
-  // Singletons draw their piece buffers from the worker's pool, closing the
-  // acquire/release cycle: every level's combines release two buffers per
-  // one acquired, and this step takes the surplus back, so the pool's
-  // footprint stays at the high-water mark instead of growing by n buffers
-  // per envelope build.
-  parallel_for(n, [&](std::size_t b) {
-    PiecewiseFn s{thread_piece_pool().acquire_pieces()};
-    singleton_into(fam, static_cast<int>(b), s);
+  std::vector<PiecewiseFn> strings = singleton_strings(fam);
+  for (const PiecewiseFn& s : strings) {
     DYNCG_ASSERT(s.piece_count() <= base_w,
                  "singleton pieces exceed the base string width");
-    strings[b] = std::move(s);
-  });
+  }
 
   std::size_t width = base_w;
-  std::size_t count = n2;
   // Adaptive mode: the effective string width the data currently occupies.
   std::size_t eff_width = base_w;
   EnvelopeRunStats st;
-  // Output slots for each level, allocated once: the first level sizes the
-  // buffer and every later level shrinks it in place.
-  std::vector<PiecewiseFn> next;
-  while (count > 1) {
+  while (strings.size() > 1) {
     TRACE_SPAN_COST("envelope.level", m.ledger());
     width *= 2;
-    count /= 2;
     ++st.levels;
     std::size_t level_width = width;
     if (adaptive) {
       // Inputs occupy pairs of eff_width strings; combine runs there.
       level_width = std::min(width, 2 * eff_width);
     }
+    // The ledger is billed for the whole level before the host combines run.
     envelope_detail::charge_combine_level(m, level_width, s_bound);
-    next.resize(count);
-    // Strings are independent, so the per-string combines run across host
-    // threads; the max-reduction merges per-worker results in index order
-    // (charge_combine_level above already billed the whole level).
-    std::size_t level_max = parallel_reduce<std::size_t>(
-        count, std::size_t{1},
-        [&](std::size_t& acc, std::size_t b) {
-          PiecewiseFn& left = strings[2 * b];
-          PiecewiseFn& right = strings[2 * b + 1];
-          // Per-thread scratch pool: each combine reuses the worker's
-          // buffers, and the consumed input strings donate their piece
-          // buffers back for the next level (docs/PERFORMANCE.md).
-          PiecePool& pool = thread_piece_pool();
-          PiecewiseFn combined{pool.acquire_pieces()};
-          combine_extremum_into(fam, left, right, take_min, pool, combined);
-          pool.release_pieces(std::move(left.pieces));
-          pool.release_pieces(std::move(right.pieces));
-          // One-piece-per-PE invariant (Lemma 2.4 / machine sizing).
-          DYNCG_ASSERT(combined.piece_count() <= width,
-                       "string overflow: machine sized below lambda(n,s)");
-          acc = std::max(acc, combined.piece_count());
-          next[b] = std::move(combined);
-        },
-        [](std::size_t& into, std::size_t from) {
-          into = std::max(into, from);
-        });
+    combine_level(fam, strings, take_min);
+    std::size_t level_max = 1;
+    for (const PiecewiseFn& s : strings) {
+      // One-piece-per-PE invariant (Lemma 2.4 / machine sizing).
+      DYNCG_ASSERT(s.piece_count() <= width,
+                   "string overflow: machine sized below lambda(n,s)");
+      level_max = std::max(level_max, s.piece_count());
+    }
     st.max_pieces = std::max(st.max_pieces, level_max);
-    strings.swap(next);
     if (adaptive) {
       // Compact (or spread) every string into the smallest sufficient
       // width; one concentration ladder spanning both the old and the new

@@ -70,7 +70,9 @@ std::vector<std::size_t> CubeConnectedCycles::neighbors(std::size_t v) const {
   out.push_back(static_cast<std::size_t>((p + 1) % dims_) * base + w);
   out.push_back(static_cast<std::size_t>((p + dims_ - 1) % dims_) * base + w);
   out.push_back(static_cast<std::size_t>(p) * base + (w ^ (std::size_t{1} << p)));
-  if (dims_ == 2 && out[0] == out[1]) out.pop_back();  // 2-cycles coincide
+  // A 2-cycle's two cycle neighbours coincide: drop the duplicate, keep the
+  // cube edge.
+  if (dims_ == 2 && out[0] == out[1]) out.erase(out.begin() + 1);
   return out;
 }
 

@@ -3,74 +3,72 @@
 #include <vector>
 
 #include "pieces/piecewise.hpp"
+#include "support/thread_pool.hpp"
 
-// Serial construction of the minimum function h(t) = min{f_0, ..., f_{n-1}}
-// (Equation (1)).  This is the divide-and-conquer scheme of [Atallah 1985]
-// that Theorem 3.2 parallelizes: split the family in half, build both
-// sub-envelopes recursively, and combine them with the pairwise algorithm of
-// Lemma 3.1.  It serves as (a) the correctness oracle for the machine
-// implementations and (b) the serial baseline in the Section 6 comparison
-// benches.
+// The merge tree of the minimum function h(t) = min{f_0, ..., f_{n-1}}
+// (Equation (1)), and its serial construction.
+//
+// Every one-shot envelope build in the repo walks the same tree, the one
+// Theorem 3.2 runs on the machine: level 0 holds one singleton string per
+// member, and each level pairs strings (2b, 2b+1) into string b with one
+// Lemma 3.1 combine.  An odd last string is carried up unchanged, which is
+// the tree of padding the family to ceil_pow2(n) with empty strings.  The
+// serial oracle envelope_serial_all, parallel_envelope (Theorem 3.2),
+// pram_envelope and serial_envelope_baseline all loop combine_level, so they
+// return the same PiecewiseFn bit for bit.  The recurrence is the
+// T(n) = 2T(n/2) + O(lambda) divide and conquer of [Atallah 1985], run
+// bottom-up instead of by halving.
+//
+// Piece buffers come from the worker threads' PiecePools: each combine
+// releases its two inputs' buffers for the next level, so a steady-state
+// build allocates only for high-water-mark growth.
 namespace dyncg {
 
-// Lower envelope of the given member ids.  Pass take_min = false for the
-// upper envelope (maximum function).
-//
-// The halving recursion is run as an explicit post-order walk over index
-// ranges of `ids` — the merge tree (and therefore the output, bit for bit)
-// is the classic divide-and-conquer of [Atallah 1985], but no per-level
-// id-vector copies are made and every intermediate envelope's piece buffer
-// is recycled through the calling thread's PiecePool, so a steady-state
-// envelope build allocates only for high-water-mark growth.
+// Level 0 of the merge tree: string b is the singleton of member b.
 template <class Family>
-PiecewiseFn envelope_serial(const Family& fam, const std::vector<int>& ids,
-                            bool take_min = true) {
-  if (ids.empty()) return PiecewiseFn{};
-  PiecePool& pool = thread_piece_pool();
-  // Work stack of [lo, hi) ranges; `merge` frames pop the top two results.
-  struct Frame {
-    std::size_t lo, hi;
-    bool merge;
-  };
-  std::vector<Frame> work;
-  std::vector<PiecewiseFn> results;
-  work.push_back(Frame{0, ids.size(), false});
-  while (!work.empty()) {
-    Frame f = work.back();
-    work.pop_back();
-    if (f.merge) {
-      PiecewiseFn right = std::move(results.back());
-      results.pop_back();
-      PiecewiseFn left = std::move(results.back());
-      results.pop_back();
-      PiecewiseFn combined{pool.acquire_pieces()};
-      combine_extremum_into(fam, left, right, take_min, pool, combined);
-      pool.release_pieces(std::move(left.pieces));
-      pool.release_pieces(std::move(right.pieces));
-      results.push_back(std::move(combined));
-      continue;
-    }
-    if (f.hi - f.lo == 1) {
-      PiecewiseFn leaf{pool.acquire_pieces()};
-      singleton_into(fam, ids[f.lo], leaf);
-      results.push_back(std::move(leaf));
-      continue;
-    }
-    std::size_t mid = f.lo + (f.hi - f.lo) / 2;
-    // Left is evaluated first (pushed last), matching the recursion order.
-    work.push_back(Frame{f.lo, f.hi, true});
-    work.push_back(Frame{mid, f.hi, false});
-    work.push_back(Frame{f.lo, mid, false});
-  }
-  return std::move(results.back());
+std::vector<PiecewiseFn> singleton_strings(const Family& fam) {
+  std::vector<PiecewiseFn> strings(fam.size());
+  parallel_for(fam.size(), [&](std::size_t b) {
+    strings[b].pieces = thread_piece_pool().acquire_pieces();
+    singleton_into(fam, static_cast<int>(b), strings[b]);
+  });
+  return strings;
 }
 
-// Envelope over the entire family.
+// One level of the merge tree, in place: string b becomes the combine of
+// strings 2b and 2b+1, an odd last string moves up unchanged, and `strings`
+// shrinks to ceil(size / 2).  The pairs are independent and run across host
+// threads.
+template <class Family>
+void combine_level(const Family& fam, std::vector<PiecewiseFn>& strings,
+                   bool take_min) {
+  parallel_for(strings.size() / 2, [&](std::size_t b) {
+    PiecewiseFn& left = strings[2 * b];
+    PiecewiseFn& right = strings[2 * b + 1];
+    PiecePool& pool = thread_piece_pool();
+    PiecewiseFn combined{pool.acquire_pieces()};
+    combine_extremum_into(fam, left, right, take_min, pool, combined);
+    pool.release_pieces(std::move(left.pieces));
+    pool.release_pieces(std::move(right.pieces));
+    left = std::move(combined);
+  });
+  // Pair b's result sits in slot 2b; the carried string in the last slot.
+  const std::size_t next = (strings.size() + 1) / 2;
+  for (std::size_t b = 1; b < next; ++b) {
+    strings[b] = std::move(strings[2 * b]);
+  }
+  strings.resize(next);
+}
+
+// Lower envelope of the whole family; pass take_min = false for the upper
+// envelope (maximum function).  The correctness oracle for the machine
+// implementations and the serial baseline in the Section 6 benches.
 template <class Family>
 PiecewiseFn envelope_serial_all(const Family& fam, bool take_min = true) {
-  std::vector<int> ids(fam.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
-  return envelope_serial(fam, ids, take_min);
+  if (fam.size() == 0) return PiecewiseFn{};
+  std::vector<PiecewiseFn> strings = singleton_strings(fam);
+  while (strings.size() > 1) combine_level(fam, strings, take_min);
+  return std::move(strings[0]);
 }
 
 // Convenience wrappers for polynomial families.

@@ -7,8 +7,8 @@
 namespace dyncg {
 namespace {
 
-// Combine all current envelopes pairwise, charging the PRAM for one level:
-// a parallel merge of the endpoint records (each of the O(pieces)
+// PRAM steps of one merge-tree level whose largest pair holds `pieces`
+// pieces: a parallel merge of the endpoint records (each of the O(pieces)
 // processors binary-searches the other list: ceil(log2 pieces) steps) plus
 // O(1) steps of local subpiece work and compaction.
 std::uint64_t level_steps(std::size_t pieces) {
@@ -23,24 +23,16 @@ std::uint64_t level_steps(std::size_t pieces) {
 PramEnvelopeResult pram_envelope(const PolyFamily& fam, bool take_min) {
   DYNCG_ASSERT(fam.size() >= 1, "empty family");
   CrewPram pram(fam.size());
-  std::vector<PiecewiseFn> level;
-  level.reserve(fam.size());
-  for (std::size_t i = 0; i < fam.size(); ++i) {
-    level.push_back(singleton_fn(fam, static_cast<int>(i)));
-  }
+  std::vector<PiecewiseFn> level = singleton_strings(fam);
   pram.charge_steps(1);
   while (level.size() > 1) {
     std::size_t max_pieces = 1;
-    std::vector<PiecewiseFn> next;
-    next.reserve((level.size() + 1) / 2);
     for (std::size_t b = 0; b + 1 < level.size(); b += 2) {
       max_pieces = std::max(max_pieces, level[b].piece_count() +
                                             level[b + 1].piece_count());
-      next.push_back(combine_extremum(fam, level[b], level[b + 1], take_min));
     }
-    if (level.size() % 2 == 1) next.push_back(level.back());
+    combine_level(fam, level, take_min);
     pram.charge_steps(level_steps(max_pieces));
-    level.swap(next);
   }
   return PramEnvelopeResult{std::move(level[0]), pram.steps()};
 }
@@ -54,23 +46,15 @@ std::uint64_t chandran_mount_steps(std::size_t n) {
 SerialEnvelopeResult serial_envelope_baseline(const PolyFamily& fam,
                                               bool take_min) {
   // The D&C recurrence T(n) = 2T(n/2) + O(lambda(n,s)) of [Atallah 1985];
-  // we count elementary piece operations: every overlay cell visited at
-  // every level.
-  std::uint64_t ops = 0;
-  std::vector<PiecewiseFn> level;
-  for (std::size_t i = 0; i < fam.size(); ++i) {
-    level.push_back(singleton_fn(fam, static_cast<int>(i)));
-    ops += 1;
-  }
+  // we count elementary piece operations: one per singleton, then every
+  // overlay cell visited at every level.
+  std::uint64_t ops = fam.size();
+  std::vector<PiecewiseFn> level = singleton_strings(fam);
   while (level.size() > 1) {
-    std::vector<PiecewiseFn> next;
-    for (std::size_t b = 0; b + 1 < level.size(); b += 2) {
-      ops += level[b].piece_count() + level[b + 1].piece_count();
-      next.push_back(combine_extremum(fam, level[b], level[b + 1], take_min));
-      ops += next.back().piece_count();
-    }
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level.swap(next);
+    const std::size_t pairs = level.size() / 2;
+    for (std::size_t i = 0; i < 2 * pairs; ++i) ops += level[i].piece_count();
+    combine_level(fam, level, take_min);
+    for (std::size_t b = 0; b < pairs; ++b) ops += level[b].piece_count();
   }
   return SerialEnvelopeResult{std::move(level[0]), ops};
 }

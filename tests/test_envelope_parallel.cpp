@@ -1,14 +1,63 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "dyncg/hull_membership.hpp"
 #include "envelope/parallel_envelope.hpp"
 #include "pieces/envelope_serial.hpp"
+#include "pieces/jump_family.hpp"
 #include "support/ds_sequence.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace dyncg {
 namespace {
+
+// Every one-shot build walks the same merge tree, so envelopes must agree
+// bit for bit: same ids, same bit patterns at every breakpoint.
+bool bit_identical(const PiecewiseFn& a, const PiecewiseFn& b) {
+  if (a.piece_count() != b.piece_count()) return false;
+  for (std::size_t i = 0; i < a.pieces.size(); ++i) {
+    const Piece pa = a.pieces[i], pb = b.pieces[i];
+    if (pa.id != pb.id ||
+        std::bit_cast<std::uint64_t>(pa.iv.lo) !=
+            std::bit_cast<std::uint64_t>(pb.iv.lo) ||
+        std::bit_cast<std::uint64_t>(pa.iv.hi) !=
+            std::bit_cast<std::uint64_t>(pb.iv.hi)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Runs parallel_envelope on the mesh and the hypercube, adaptive off and
+// on, and counts the runs whose envelope is not bit-identical to the serial
+// oracle's.  `where` names the first such run.
+template <class Family>
+int count_parallel_mismatches(const Family& fam, int s_bound, bool take_min,
+                              std::string* where) {
+  const PiecewiseFn ser = envelope_serial_all(fam, take_min);
+  int mismatches = 0;
+  for (int cube = 0; cube < 2; ++cube) {
+    for (bool adaptive : {false, true}) {
+      Machine m = cube ? envelope_machine_hypercube(fam.size(), s_bound)
+                       : envelope_machine_mesh(fam.size(), s_bound);
+      PiecewiseFn par =
+          parallel_envelope(m, fam, s_bound, take_min, nullptr, adaptive);
+      if (!bit_identical(par, ser)) {
+        if (mismatches++ == 0) {
+          *where = m.topology().name() +
+                   (adaptive ? " adaptive" : "") +
+                   (take_min ? " min" : " max");
+        }
+      }
+    }
+  }
+  return mismatches;
+}
 
 PolyFamily random_family(Rng& rng, int n, int max_deg) {
   std::vector<Polynomial> fns;
@@ -27,11 +76,8 @@ TEST(ParallelEnvelope, MatchesSerialOnSmallFamily) {
   Machine mesh = envelope_machine_mesh(fam.size(), 1);
   PiecewiseFn par = parallel_envelope(mesh, fam, 1);
   PiecewiseFn ser = lower_envelope_serial(fam);
-  ASSERT_EQ(par.piece_count(), ser.piece_count());
-  for (std::size_t i = 0; i < par.pieces.size(); ++i) {
-    EXPECT_EQ(par.pieces[i].id, ser.pieces[i].id);
-    EXPECT_NEAR(par.pieces[i].iv.lo, ser.pieces[i].iv.lo, 1e-9);
-  }
+  EXPECT_TRUE(bit_identical(par, ser))
+      << par.to_string() << " vs " << ser.to_string();
 }
 
 // Property: the machine envelope must agree with the serial oracle on both
@@ -49,15 +95,15 @@ TEST_P(ParallelEnvelopeProperty, AgreesWithSerialOracle) {
   EnvelopeRunStats stats;
   PiecewiseFn par = parallel_envelope(m, fam, max_deg, take_min, &stats);
   PiecewiseFn ser = envelope_serial_all(fam, take_min);
-  ASSERT_EQ(par.piece_count(), ser.piece_count())
-      << "machine=" << m.topology().name();
-  for (std::size_t i = 0; i < par.pieces.size(); ++i) {
-    EXPECT_EQ(par.pieces[i].id, ser.pieces[i].id) << "piece " << i;
-    EXPECT_NEAR(par.pieces[i].iv.lo, ser.pieces[i].iv.lo, 1e-9);
-    if (!std::isinf(par.pieces[i].iv.hi)) {
-      EXPECT_NEAR(par.pieces[i].iv.hi, ser.pieces[i].iv.hi, 1e-9);
-    }
-  }
+  EXPECT_TRUE(bit_identical(par, ser))
+      << "machine=" << m.topology().name() << "\n"
+      << par.to_string() << "\n" << ser.to_string();
+  Machine m2 = which_machine == 0
+                   ? envelope_machine_mesh(fam.size(), max_deg)
+                   : envelope_machine_hypercube(fam.size(), max_deg);
+  PiecewiseFn adaptive =
+      parallel_envelope(m2, fam, max_deg, take_min, nullptr, true);
+  EXPECT_TRUE(bit_identical(adaptive, ser)) << "adaptive";
   EXPECT_GE(stats.levels, 1u);
   // Lemma 2.2 audit inside the parallel pipeline.
   EXPECT_TRUE(is_davenport_schinzel(par.origin_sequence(), n, max_deg));
@@ -67,6 +113,98 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelEnvelopeProperty,
     ::testing::Combine(::testing::Values(0, 1), ::testing::Values(2, 5, 9, 17),
                        ::testing::Values(1, 2, 3), ::testing::Bool()));
+
+// The hull-membership angle families (Section 4.2): partial functions, G
+// and B sides, both extrema, at family sizes that are not powers of two.
+// These are the envelopes where a halving oracle and the machine's
+// bottom-up tree used to disagree in the last bits of a breakpoint.
+TEST(ParallelEnvelope, AngleFamiliesMatchSerialBitForBit) {
+  int runs = 0, mismatches = 0;
+  std::string first;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    for (std::size_t points : {6u, 7u, 12u}) {
+      Rng rng(seed * 101 + points);
+      MotionSystem sys = random_motion_system(rng, points, 2, 2);
+      RelativeMotion rel = RelativeMotion::around(sys, 0);
+      const int s_bound = 4 * std::max(1, sys.motion_degree());
+      for (bool positive : {true, false}) {
+        AngleFamily fam(&rel, positive);
+        for (bool take_min : {true, false}) {
+          std::string where;
+          int bad = count_parallel_mismatches(fam, s_bound, take_min, &where);
+          runs += 4;  // mesh and hypercube, adaptive off and on
+          if (bad > 0 && mismatches == 0) {
+            first = where + (positive ? " G" : " B") + " seed " +
+                    std::to_string(seed) + " points " + std::to_string(points);
+          }
+          mismatches += bad;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << mismatches << " of " << runs
+                           << " parallel runs differ from the oracle; first: "
+                           << first;
+}
+
+// Functions with jumps (Lemma 3.3): 2 branches per motion, so odd motion
+// counts give family sizes that are not powers of two.  Cubic branches:
+// their crossings come from root isolation, whose last bits depend on
+// where the search starts, i.e. on the cell that asks.
+TEST(ParallelEnvelope, JumpFamiliesMatchSerialBitForBit) {
+  auto cubic = [](Rng& rng) {
+    return Polynomial({rng.uniform(-4, 4), rng.uniform(-1, 1),
+                       rng.uniform(-1, 1) / 2, rng.uniform(-1, 1) / 3});
+  };
+  int runs = 0, mismatches = 0;
+  std::string first;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    for (int motions : {3, 5, 7, 11}) {
+      Rng rng(seed * 211 + static_cast<std::uint64_t>(motions));
+      std::vector<JumpMotion> ms;
+      for (int i = 0; i < motions; ++i) {
+        Polynomial before = cubic(rng);
+        Polynomial after = cubic(rng);
+        ms.push_back(JumpMotion{before, after, rng.uniform(0.5, 8.0)});
+      }
+      JumpFamily fam(std::move(ms));
+      for (bool take_min : {true, false}) {
+        std::string where;
+        // 3 crossings per branch pair, plus 2 window ends (Theorem 3.4).
+        int bad = count_parallel_mismatches(fam, 8, take_min, &where);
+        runs += 4;  // mesh and hypercube, adaptive off and on
+        if (bad > 0 && mismatches == 0) {
+          first = where + " seed " + std::to_string(seed) + " motions " +
+                  std::to_string(motions);
+        }
+        mismatches += bad;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << mismatches << " of " << runs
+                           << " parallel runs differ from the oracle; first: "
+                           << first;
+}
+
+// The merge tree acquires and releases piece buffers in balance, so
+// repeated builds at a size that is not a power of two keep the caller's
+// PiecePool at its high-water mark.  Run serially, so that every buffer
+// comes from and returns to this thread's pool.
+TEST(ParallelEnvelope, PiecePoolStaysBoundedAtOddSizes) {
+  const unsigned threads = host_threads();
+  set_host_threads(1);
+  Rng rng(88);
+  PolyFamily fam = random_family(rng, 100, 2);
+  auto build = [&fam] {
+    Machine m = envelope_machine_mesh(fam.size(), 2);
+    parallel_envelope(m, fam, 2);
+  };
+  build();
+  const std::size_t warm = thread_piece_pool().free_pieces.size();
+  for (int i = 0; i < 20; ++i) build();
+  EXPECT_LE(thread_piece_pool().free_pieces.size(), warm);
+  set_host_threads(threads);
+}
 
 TEST(ParallelEnvelope, MachineSizesFollowLambda) {
   // Theorem 3.2 machine sizes: power of 4 (mesh) / 2 (hypercube) covering
@@ -133,10 +271,7 @@ TEST(AdaptiveEnvelope, MatchesStandardResult) {
   Machine m2 = envelope_machine_mesh(40, 3);
   PiecewiseFn ad_env = parallel_envelope(m2, fam, 3, true, nullptr,
                                          /*adaptive=*/true);
-  ASSERT_EQ(std_env.piece_count(), ad_env.piece_count());
-  for (std::size_t i = 0; i < std_env.pieces.size(); ++i) {
-    EXPECT_EQ(std_env.pieces[i].id, ad_env.pieces[i].id);
-  }
+  EXPECT_TRUE(bit_identical(std_env, ad_env));
 }
 
 TEST(AdaptiveEnvelope, BestCaseMeshIsCheaper) {

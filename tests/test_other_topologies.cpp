@@ -178,9 +178,8 @@ TEST(OtherTopologies, FactoriesShareOneInstancePerSize) {
 
 // The measured scan prices CCC and shuffle-exchange exactly as before the
 // mesh and hypercube moved to closed forms, at every simulable dimension.
-// CCC(2) records 65535 (unreachable) for exchanges across its cube links:
-// CubeConnectedCycles::neighbors drops the cube edge when d = 2, a known
-// defect kept as-is because fixing it changes ledgers (ROADMAP.md).
+// CCC(2)'s two cycle neighbours coincide; it keeps its cube edges, so it is
+// connected and its exchanges are priced by real paths.
 TEST(OtherTopologies, ScanCostsArePinned) {
   struct Pinned {
     std::uint32_t dims;
@@ -188,7 +187,7 @@ TEST(OtherTopologies, ScanCostsArePinned) {
     std::vector<unsigned> exchange;
   };
   const Pinned ccc[] = {
-      {2, 65535, {1, 65535, 65535}},
+      {2, 3, {1, 2, 4}},
       {4, 5, {1, 2, 4, 6, 6, 6}},
       {8, 9, {1, 2, 4, 8, 10, 10, 10, 10, 10, 10, 10}},
   };
@@ -196,6 +195,13 @@ TEST(OtherTopologies, ScanCostsArePinned) {
     CubeConnectedCycles topo(p.dims);
     EXPECT_EQ(topo.pattern_costs(), (PatternCosts{p.exchange, p.shift}))
         << topo.name();
+    // Connected: no pair is left at the unreachable sentinel.
+    for (std::size_t a = 0; a < topo.size(); ++a) {
+      for (std::size_t b = 0; b < topo.size(); ++b) {
+        ASSERT_LE(topo.shortest_path(a, b), topo.diameter())
+            << topo.name() << " " << a << "->" << b;
+      }
+    }
   }
   const Pinned se[] = {
       {1, 1, {1}},
