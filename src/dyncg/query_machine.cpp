@@ -1,9 +1,17 @@
 #include "dyncg/query_machine.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
+#include "dyncg/allpairs.hpp"
+#include "dyncg/collision.hpp"
+#include "dyncg/containment.hpp"
+#include "dyncg/hull_membership.hpp"
+#include "dyncg/proximity.hpp"
 #include "machine/other_topologies.hpp"
+#include "steady/machine_geometry.hpp"
 #include "support/ackermann.hpp"
+#include "support/rng.hpp"
 #include "support/trace.hpp"
 
 namespace dyncg {
@@ -31,7 +39,23 @@ Status unknown_family(std::string_view family) {
                                   "'");
 }
 
+// printf-exact rendering of one answer fragment.
+template <class... Args>
+void appendf(std::string* out, const char* fmt, Args... args) {
+  char buf[256];
+  int n = std::snprintf(buf, sizeof(buf), fmt, args...);
+  if (n > 0) out->append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
+}
+
 }  // namespace
+
+MotionSystem scenario_system(Query query, const ScenarioSpec& spec) {
+  Rng rng(spec.seed);
+  if (query == Query::kSteady) {
+    return diverging_motion_system(rng, spec.n, std::max(1, spec.k));
+  }
+  return random_motion_system(rng, spec.n, spec.d, spec.k);
+}
 
 StatusOr<MachinePlan> plan_machine(std::string_view family,
                                    std::size_t capacity) {
@@ -107,6 +131,79 @@ Machine build_machine(const MachinePlan& plan) {
   }
   DYNCG_ASSERT(plan.family == "mesh", "unplanned machine family");
   return Machine(make_mesh_for(plan.capacity));
+}
+
+std::vector<double> fit_box(std::span<const double> box,
+                            std::size_t dimension) {
+  DYNCG_ASSERT(!box.empty(), "a box needs at least one dimension");
+  std::vector<double> dims(box.begin(), box.end());
+  dims.resize(dimension, box.back());
+  return dims;
+}
+
+StatusOr<std::string> answer_query(Machine& m, Query query,
+                                   const MotionSystem& system,
+                                   const QueryArgs& args) {
+  std::string out;
+  switch (query) {
+    case Query::kNeighbor: {
+      StatusOr<NeighborSequence> seq =
+          try_neighbor_sequence(m, system, args.query, args.farthest);
+      if (!seq.is_ok()) return seq.status();
+      out = seq.value().to_string() + "\n";
+      break;
+    }
+    case Query::kPairs:
+      out = closest_pair_sequence(m, system, args.farthest).to_string() + "\n";
+      break;
+    case Query::kCollisions: {
+      StatusOr<CollisionReport> rep =
+          try_collision_times(m, system, args.query);
+      if (!rep.is_ok()) return rep.status();
+      if (rep.value().events.empty()) {
+        appendf(&out, "no collisions for P%zu\n", args.query);
+      }
+      for (const CollisionEvent& e : rep.value().events) {
+        appendf(&out, "t = %10.4f  P%zu <-> P%zu\n", e.time, args.query,
+                e.other);
+      }
+      break;
+    }
+    case Query::kHullwhen: {
+      StatusOr<IntervalSet> hit =
+          try_hull_membership_intervals(m, system, args.query);
+      if (!hit.is_ok()) return hit.status();
+      appendf(&out, "P%zu is a hull vertex during ", args.query);
+      out += hit.value().to_string() + "\n";
+      break;
+    }
+    case Query::kContain: {
+      if (args.box.empty()) {
+        SmallestCube cube = smallest_enclosing_cube(m, system);
+        appendf(&out, "smallest enclosing cube: edge %.4f at t = %.4f\n",
+                cube.edge, cube.time);
+        break;
+      }
+      StatusOr<IntervalSet> fits = try_containment_intervals(
+          m, system, fit_box(args.box, system.dimension()));
+      if (!fits.is_ok()) return fits.status();
+      out = "fits the box during " + fits.value().to_string() + "\n";
+      break;
+    }
+    case Query::kSteady: {
+      appendf(&out, "steady NN of P%zu: P%zu\n", args.query,
+              machine_steady_neighbor(m, system, args.query, args.farthest));
+      out += "steady hull: ";
+      for (std::size_t id : machine_steady_hull_ids(m, system)) {
+        appendf(&out, "P%zu ", id);
+      }
+      out += "\n";
+      auto far = machine_steady_farthest_pair(m, system);
+      appendf(&out, "steady farthest pair: (P%zu, P%zu)\n", far.a, far.b);
+      break;
+    }
+  }
+  return out;
 }
 
 }  // namespace dyncg

@@ -1,19 +1,32 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dyncg/motion.hpp"
 #include "machine/machine.hpp"
 #include "support/status.hpp"
 
-// The machine a motion query runs on.
+// A motion query: the scenario it runs on, the machine it runs on and the
+// text of its answer.
 //
-// The machine is a pure function of (query, n, k, machine family).  This is
-// its one definition: dyncg_cli, the serving engine and the per-query
-// helpers (allpairs_machine_mesh, ...) all build through it, and
-// serve::parse_request plans with it to refuse, at parse time,
+// This is the one definition of the six Section 4/5 queries.  dyncg_cli and
+// the serving engine (serve::run_query) both generate, plan, build and
+// answer through it, so the CLI's stdout and a served `result` are the same
+// bytes by construction; the per-query helpers (allpairs_machine_mesh, ...)
+// build through it too.
+//
+// Scenario.  A generator scenario is (seed, n, d, k); its defaults are what
+// a bare `dyncg_cli neighbor` and a request naming only an op query.  The
+// steady-state survey builds its own diverging motion from (seed, n, k), so
+// it takes no loaded or inline system and ignores d.
+//
+// Machine.  The machine is a pure function of (query, n, k, machine
+// family).  serve::parse_request plans with it to refuse, at parse time,
 // requests whose machine no topology could simulate (CCC above 2048 PEs,
 // shuffle-exchange above 2^12, the hypercube above 2^24) instead of letting
 // them reach a topology's size assertion.
@@ -27,6 +40,22 @@
 namespace dyncg {
 
 enum class Query { kNeighbor, kPairs, kCollisions, kHullwhen, kContain, kSteady };
+
+// A generator scenario.
+struct ScenarioSpec {
+  std::uint64_t seed = 1;
+  std::size_t n = 8;   // points
+  std::size_t d = 2;   // dimension (not used by steady)
+  int k = 2;           // motion degree
+};
+
+// Queries that build their own system from a ScenarioSpec and refuse a
+// loaded or inline one: the steady-state survey.
+constexpr bool generator_only(Query query) { return query == Query::kSteady; }
+
+// The system `query` runs on for `spec`: diverging motion of degree
+// max(1, k) for steady, random_motion_system(n, d, k) for the others.
+MotionSystem scenario_system(Query query, const ScenarioSpec& spec);
 
 struct MachinePlan {
   std::string family;     // "mesh", "hypercube", "ccc" or "shuffle"
@@ -49,5 +78,26 @@ StatusOr<MachinePlan> plan_query_machine(Query query,
 // are built in O(log n); CCC and shuffle-exchange share one instance per
 // size per process (machine/other_topologies.hpp).
 Machine build_machine(const MachinePlan& plan);
+
+// What a query is asked beyond its system.  `query` is the query point
+// (neighbor, collisions, hullwhen, steady); `box` the rectangle of
+// `contain`, empty for the smallest enclosing cube.
+struct QueryArgs {
+  std::size_t query = 0;
+  bool farthest = false;
+  std::span<const double> box;
+};
+
+// The box rule: missing trailing dimensions repeat the last one, extra ones
+// are dropped.  `box` must be non-empty.
+std::vector<double> fit_box(std::span<const double> box,
+                            std::size_t dimension);
+
+// Answers `query` for `system` on `m` and returns its text, one or more
+// '\n'-terminated lines (what dyncg_cli prints above its cost line).
+// Errors are the algorithms' own validation statuses.
+StatusOr<std::string> answer_query(Machine& m, Query query,
+                                   const MotionSystem& system,
+                                   const QueryArgs& args);
 
 }  // namespace dyncg

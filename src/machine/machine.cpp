@@ -28,7 +28,7 @@ namespace dyncg {
 // counters that feed the bench reports.
 void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
   TRACE_SPAN_COST("fault.recover", ledger_);
-  FabricTelemetry& fab = telemetry_.fabric();
+  FabricTelemetry& fab = telemetry_;
   const std::vector<FaultEvent>& events = faults_->events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
@@ -103,7 +103,7 @@ std::string Machine::fault_report() const {
     os << "fault report: no faults injected\n";
     return os.str();
   }
-  const FabricTelemetry& fab = telemetry_.fabric();
+  const FabricTelemetry& fab = telemetry_;
   os << "fault report: plan \"" << faults_->to_string() << "\" ("
      << faults_->events().size() << " events)\n";
   os << "  link-down hits:  " << fab.fault_link_down_hits << "\n";

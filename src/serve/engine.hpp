@@ -5,13 +5,13 @@
 
 // Query execution for the serving layer.
 //
-// run_query answers one validated request by building the same machine
-// dyncg_cli would build for the same scenario and rendering the same text
-// the CLI prints — byte for byte, minus the CLI's trailing cost line (the
-// ledger figures travel in the structured `cost` field instead).  The e2e
-// suite enforces that equivalence by diffing served results against CLI
-// stdout, so any drift between the two front ends is a test failure, not a
-// documentation footnote.
+// run_query answers one validated request through dyncg/query_machine.hpp:
+// it plans and builds the query's machine, arms the request's fault plan,
+// and wraps one answer_query call in a request-tagged span, a cost meter
+// and the per-query metrics.  dyncg_cli answers through the same call, so
+// a served `result` is the CLI's stdout minus its trailing cost line (the
+// ledger figures travel in the structured `cost` field instead); the e2e
+// suite diffs the two for every query.
 //
 // run_query is a pure function of the request: it builds its own Machine,
 // arms the request's own fault plan, and writes no shared state (CCC and

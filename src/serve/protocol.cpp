@@ -6,20 +6,12 @@
 
 #include "envelope/scenario_key.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/trace.hpp"
 
 namespace dyncg {
 namespace serve {
 
 namespace {
-
-// Defaults mirror dyncg_cli so a request that names only an op queries the
-// same scenario the bare CLI command would.
-constexpr std::uint64_t kDefaultSeed = 1;
-constexpr std::size_t kDefaultN = 8;
-constexpr std::size_t kDefaultDim = 2;
-constexpr int kDefaultK = 2;
 
 Status bad(const std::string& msg) { return Status::invalid_argument(msg); }
 
@@ -86,13 +78,13 @@ Status parse_point(const json::Value& pt, const char* what,
   return Status::ok();
 }
 
+// A request's scenario: generator fields (absent ones keep the
+// ScenarioSpec defaults, so a request naming only an op queries what a bare
+// dyncg_cli command does) or inline points.
 struct Scenario {
   bool inline_points = false;
-  std::uint64_t seed = kDefaultSeed;
-  std::size_t n = kDefaultN;
-  std::size_t d = kDefaultDim;
+  ScenarioSpec spec;
   bool has_d = false;
-  int k = kDefaultK;
   std::vector<Trajectory> points;
 };
 
@@ -107,21 +99,21 @@ Status parse_scenario(const json::Value& v, Scenario* out) {
       if (!to_index(member, 1ull << 40, &x)) {
         return bad("scenario 'seed' must be an integer in [0, 2^40]");
       }
-      out->seed = x;
+      out->spec.seed = x;
     } else if (name == "n") {
       std::uint64_t x;
       if (!to_index(member, kMaxPoints, &x) || x == 0) {
         return bad("scenario 'n' must be an integer in [1, " +
                    std::to_string(kMaxPoints) + "]");
       }
-      out->n = static_cast<std::size_t>(x);
+      out->spec.n = static_cast<std::size_t>(x);
     } else if (name == "d") {
       std::uint64_t x;
       if (!to_index(member, kMaxDimension, &x) || x == 0) {
         return bad("scenario 'd' must be an integer in [1, " +
                    std::to_string(kMaxDimension) + "]");
       }
-      out->d = static_cast<std::size_t>(x);
+      out->spec.d = static_cast<std::size_t>(x);
       out->has_d = true;
     } else if (name == "k") {
       std::uint64_t x;
@@ -129,7 +121,7 @@ Status parse_scenario(const json::Value& v, Scenario* out) {
         return bad("scenario 'k' must be an integer in [0, " +
                    std::to_string(kMaxDegree) + "]");
       }
-      out->k = static_cast<int>(x);
+      out->spec.k = static_cast<int>(x);
     } else if (name == "points") {
       if (!member.is_array() || member.array.empty() ||
           member.array.size() > kMaxPoints) {
@@ -174,12 +166,14 @@ Status parse_scenario(const json::Value& v, Scenario* out) {
     }
   }
   if (out->inline_points) {
-    if (out->seed != kDefaultSeed || out->n != kDefaultN || out->k != kDefaultK) {
+    const ScenarioSpec defaults;
+    if (out->spec.seed != defaults.seed || out->spec.n != defaults.n ||
+        out->spec.k != defaults.k) {
       // A request that sets both forms is ambiguous about what it queries.
       return bad("scenario mixes inline 'points' with generator fields "
                  "('seed'/'n'/'k')");
     }
-    if (!out->has_d) out->d = out->points.front().dimension();
+    if (!out->has_d) out->spec.d = out->points.front().dimension();
   }
   return Status::ok();
 }
@@ -345,20 +339,24 @@ const char* op_name(Op op) {
   return "?";
 }
 
-StatusOr<MachinePlan> plan_request_machine(const Request& req) {
-  DYNCG_ASSERT(req.system.has_value(), "planning needs a scenario");
-  Query query = Query::kSteady;
-  switch (req.op) {
-    case Op::kNeighbor: query = Query::kNeighbor; break;
-    case Op::kPairs: query = Query::kPairs; break;
-    case Op::kCollisions: query = Query::kCollisions; break;
-    case Op::kHullwhen: query = Query::kHullwhen; break;
-    case Op::kContain: query = Query::kContain; break;
-    case Op::kSteady: query = Query::kSteady; break;
+StatusOr<Query> query_of(Op op) {
+  switch (op) {
+    case Op::kNeighbor: return Query::kNeighbor;
+    case Op::kPairs: return Query::kPairs;
+    case Op::kCollisions: return Query::kCollisions;
+    case Op::kHullwhen: return Query::kHullwhen;
+    case Op::kContain: return Query::kContain;
+    case Op::kSteady: return Query::kSteady;
     default:
       return Status::invalid_argument("op carries no scenario to run");
   }
-  return plan_query_machine(query, *req.system, req.machine);
+}
+
+StatusOr<MachinePlan> plan_request_machine(const Request& req) {
+  DYNCG_ASSERT(req.system.has_value(), "planning needs a scenario");
+  StatusOr<Query> query = query_of(req.op);
+  if (!query.is_ok()) return query.status();
+  return plan_query_machine(query.value(), *req.system, req.machine);
 }
 
 StatusOr<Request> parse_request(const std::string& line) {
@@ -559,25 +557,22 @@ StatusOr<Request> parse_request(const std::string& line) {
   // session registry validates everything that needs session state.
   if (is_admin_op(r.op) || is_fleet_op(r.op)) return r;
 
-  // Materialize the scenario (absent scenario = CLI defaults).
-  if (r.op == Op::kSteady && (sc.inline_points || sc.has_d)) {
+  // Materialize the scenario (absent scenario = ScenarioSpec defaults).
+  const Query query = query_of(r.op).value();
+  if (generator_only(query) && (sc.inline_points || sc.has_d)) {
     return bad("op \"steady\" takes generator scenarios only "
                "('seed'/'n'/'k'; the survey builds diverging motion "
                "itself)");
   }
   {
     TRACE_SPAN("scenario.generate");
-    if (r.op == Op::kSteady) {
-      Rng rng(sc.seed);
-      r.system = diverging_motion_system(rng, sc.n, std::max(1, sc.k));
-    } else if (sc.inline_points) {
+    if (sc.inline_points) {
       StatusOr<MotionSystem> sys =
-          MotionSystem::try_create(sc.d, std::move(sc.points));
+          MotionSystem::try_create(sc.spec.d, std::move(sc.points));
       if (!sys.is_ok()) return sys.status();
       r.system = std::move(sys).value();
     } else {
-      Rng rng(sc.seed);
-      r.system = random_motion_system(rng, sc.n, sc.d, sc.k);
+      r.system = scenario_system(query, sc.spec);
     }
   }
   if (r.op != Op::kPairs && r.op != Op::kContain &&
@@ -591,10 +586,8 @@ StatusOr<Request> parse_request(const std::string& line) {
     return bad(std::string("op \"") + op_name(r.op) + "\" on machine \"" +
                r.machine + "\": " + plan.status().message());
   }
-  if (r.has_box) {
-    // The CLI rule: missing trailing dimensions repeat the last one.
-    r.box.resize(r.system->dimension(), r.box.back());
-  }
+  // The key holds the fitted box, so [8] and [8,8] share a 2-D answer.
+  if (r.has_box) r.box = fit_box(r.box, r.system->dimension());
   build_key(&r);
   return r;
 }

@@ -100,7 +100,7 @@ struct Request {
   std::size_t query = 0;
   bool farthest = false;
   bool has_box = false;
-  std::vector<double> box;  // resized to system dimension (CLI --box rule)
+  std::vector<double> box;  // fitted to the system dimension (fit_box)
   bool has_faults = false;
   FaultPlan faults;
   std::string faults_spec;  // canonical FaultPlan::to_string() form
@@ -132,14 +132,18 @@ struct Request {
 // kInvalidArgument for unknown/ill-typed/out-of-range fields.
 StatusOr<Request> parse_request(const std::string& line);
 
+// The query a scenario op asks (dyncg/query_machine.hpp); admin and fleet
+// ops are kInvalidArgument ("op carries no scenario to run").
+StatusOr<Query> query_of(Op op);
+
 // The machine a scenario request runs on (dyncg/query_machine.hpp) — the
 // engine builds it; parse_request refuses the request with
 // kInvalidArgument when no topology can simulate it.
 StatusOr<MachinePlan> plan_request_machine(const Request& req);
 
-// One computed answer, exactly what the cache stores: the CLI's stdout for
-// the same scenario minus its trailing cost line (trailing '\n' kept), plus
-// the simulated ledger figures and the machine it ran on.
+// One computed answer, exactly what the cache stores: answer_query's text
+// (dyncg/query_machine.hpp), plus the simulated ledger figures and the
+// machine it ran on.
 struct CachedResult {
   std::string text;
   CostSnapshot cost;

@@ -8,6 +8,7 @@
 #include "dyncg/motion.hpp"
 #include "dyncg/motion_io.hpp"
 #include "dyncg/proximity.hpp"
+#include "dyncg/query_machine.hpp"
 #include "envelope/scenario_key.hpp"
 #include "support/rng.hpp"
 
@@ -433,6 +434,30 @@ TEST(HullMembership, PointOvertakenByHull) {
   EXPECT_TRUE(hit.contains(1.0));
   EXPECT_FALSE(hit.contains(5.0));
   EXPECT_TRUE(hit.contains(6.0));
+}
+
+TEST(QueryMachine, AnswerQueryAppliesTheBoxRule) {
+  MotionSystem sys = scenario_system(Query::kContain, ScenarioSpec{3, 6, 2, 1});
+  auto answer = [&](std::vector<double> box) {
+    Machine m = build_machine(
+        plan_query_machine(Query::kContain, sys, "mesh").value());
+    return answer_query(m, Query::kContain, sys, QueryArgs{0, false, box})
+        .value();
+  };
+  const std::string square = answer({8.0});
+  EXPECT_EQ(square, answer({8.0, 8.0}));
+  EXPECT_EQ(square, answer({8.0, 8.0, 5.0}));
+  EXPECT_EQ(square.rfind("fits the box during ", 0), 0u) << square;
+  EXPECT_EQ(answer({}).rfind("smallest enclosing cube: edge ", 0), 0u);
+}
+
+TEST(QueryMachine, SteadyScenarioIgnoresDimension) {
+  const ScenarioSpec plane{4, 7, 2, 2};
+  ScenarioSpec space = plane;
+  space.d = 3;
+  EXPECT_EQ(fingerprint(scenario_system(Query::kSteady, plane)),
+            fingerprint(scenario_system(Query::kSteady, space)));
+  EXPECT_EQ(scenario_system(Query::kNeighbor, space).dimension(), 3u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "machine/machine.hpp"
 #include "machine/telemetry.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
@@ -16,8 +17,8 @@
 // Tests for the live metrics registry (support/metrics.hpp): handle
 // semantics, bucket edges, zero overhead when disabled, shard-merge
 // determinism under the DYNCG_THREADS matrix, export formats, and the
-// never-perturbs-ledgers contract — plus the FabricTelemetry /
-// MachineTelemetry JSON edge cases the registry's histograms mirror.
+// never-perturbs-ledgers contract — plus the FabricTelemetry JSON edge
+// cases the registry's histograms mirror.
 
 // Global allocation counter for the zero-overhead test, same scheme as
 // test_trace.cpp: we only compare the count across a region that performs
@@ -318,12 +319,17 @@ TEST(Telemetry, RecordRoundOneLandsInBucketOne) {
   EXPECT_EQ(t.max_in_flight, 1u);
 }
 
+// A fresh machine's telemetry: the FabricTelemetry no fabric has run on
+// (never reset, no links, no histogram).
 TEST(Telemetry, EmptyMachineTelemetryJsonParses) {
-  MachineTelemetry t;
+  Machine m = Machine::hypercube_for(8);
   json::Value v;
   std::string err;
-  ASSERT_TRUE(json::parse(t.to_json(), &v, &err)) << err;
-  EXPECT_NE(v.find("fabric"), nullptr);
+  ASSERT_TRUE(json::parse(m.telemetry().to_json(), &v, &err)) << err;
+  EXPECT_EQ(v.find("links")->number, 0);
+  EXPECT_TRUE(v.find("round_histogram")->array.empty());
+  ASSERT_NE(v.find("faults"), nullptr);
+  EXPECT_EQ(v.find("faults")->find("retries")->number, 0);
 }
 
 }  // namespace

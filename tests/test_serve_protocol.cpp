@@ -29,7 +29,7 @@ StatusOr<Request> parse(const std::string& line) { return parse_request(line); }
 TEST(ServeParse, GeneratorScenarioWithDefaults) {
   StatusOr<Request> r = parse("{\"op\":\"neighbor\",\"scenario\":{}}");
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  // Defaults mirror dyncg_cli: seed=1 n=8 d=2 k=2.
+  // ScenarioSpec defaults (dyncg_cli's too): seed=1 n=8 d=2 k=2.
   EXPECT_EQ(r.value().system->size(), 8u);
   EXPECT_EQ(r.value().system->dimension(), 2u);
   EXPECT_EQ(r.value().machine, "mesh");
@@ -46,6 +46,32 @@ TEST(ServeParse, GeneratorMatchesCliDefaults) {
           .value();
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
+}
+
+TEST(ServeParse, GeneratorScenarioIsTheSharedGenerator) {
+  // Diverging motion for steady, random motion for the other queries: the
+  // generator dyncg_cli runs for the same flags.
+  for (const char* op : {"neighbor", "steady"}) {
+    Request r = parse(std::string("{\"op\":\"") + op +
+                      "\",\"scenario\":{\"seed\":5,\"n\":9,\"k\":1}}")
+                    .value();
+    MotionSystem want =
+        scenario_system(query_of(r.op).value(), ScenarioSpec{5, 9, 2, 1});
+    EXPECT_EQ(fingerprint(*r.system), fingerprint(want)) << op;
+  }
+}
+
+TEST(ServeParse, QueryOfMapsExactlyTheScenarioOps) {
+  for (Op op : kAllOps) {
+    EXPECT_EQ(query_of(op).is_ok(), !is_admin_op(op) && !is_fleet_op(op))
+        << op_name(op);
+  }
+  EXPECT_EQ(query_of(Op::kNeighbor).value(), Query::kNeighbor);
+  EXPECT_EQ(query_of(Op::kPairs).value(), Query::kPairs);
+  EXPECT_EQ(query_of(Op::kCollisions).value(), Query::kCollisions);
+  EXPECT_EQ(query_of(Op::kHullwhen).value(), Query::kHullwhen);
+  EXPECT_EQ(query_of(Op::kContain).value(), Query::kContain);
+  EXPECT_EQ(query_of(Op::kSteady).value(), Query::kSteady);
 }
 
 TEST(ServeParse, InlineScenario) {

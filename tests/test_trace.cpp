@@ -10,7 +10,6 @@
 
 #include "envelope/parallel_envelope.hpp"
 #include "machine/fabric.hpp"
-#include "machine/profile.hpp"
 #include "ops/basic.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -342,38 +341,6 @@ TEST(FabricTelemetry, CountersMatchTraffic) {
   std::string err;
   ASSERT_TRUE(json::parse(tel.to_json(), &v, &err)) << err;
   EXPECT_EQ(v.find("messages")->number, 3.0);
-}
-
-TEST(MachineTelemetry, PhasesAggregateByLabel) {
-  Machine m = Machine::hypercube_for(8);
-  MachineProfile prof(m);
-  std::vector<long> v(8, 1);
-  {
-    auto p = prof.phase("reduce");
-    ops::reduce(m, v, std::plus<long>{});
-  }
-  {
-    auto p = prof.phase("reduce");
-    ops::reduce(m, v, std::plus<long>{});
-  }
-  {
-    auto p = prof.phase("broadcast");
-    ops::broadcast(m, v, 0);
-  }
-  const auto& phases = m.telemetry().phases();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0].label, "reduce");
-  EXPECT_EQ(phases[0].calls, 2u);
-  EXPECT_EQ(phases[1].label, "broadcast");
-  EXPECT_EQ(phases[1].calls, 1u);
-  CostSnapshot sum = phases[0].cost + phases[1].cost;
-  EXPECT_EQ(sum, m.ledger().snapshot());
-
-  json::Value doc;
-  std::string err;
-  ASSERT_TRUE(json::parse(m.telemetry().to_json(), &doc, &err)) << err;
-  ASSERT_NE(doc.find("phases"), nullptr);
-  EXPECT_EQ(doc.find("phases")->array.size(), 2u);
 }
 
 }  // namespace

@@ -22,7 +22,8 @@
 //   --farthest        use the farthest variant
 //   --adaptive        adaptive (submesh) envelope
 //   --box <w,h,...>   rectangle dimensions for `contain`
-//   --file <path>     load the system from a dyncg-motion file
+//   --file <path>     load the system from a dyncg-motion file (every
+//                     query but steady)
 //   --faults <spec>   inject a deterministic fault plan (grammar in
 //                     docs/ROBUSTNESS.md, e.g. "link:0-1@0..,drop:2-3@4").
 //                     Overrides the DYNCG_FAULTS env var.  The geometric
@@ -54,18 +55,12 @@
 #include <cstring>
 #include <string>
 
-#include "dyncg/allpairs.hpp"
-#include "dyncg/collision.hpp"
 #include "dyncg/motion_io.hpp"
-#include "dyncg/containment.hpp"
-#include "dyncg/hull_membership.hpp"
-#include "dyncg/proximity.hpp"
 #include "dyncg/query_machine.hpp"
 #include "envelope/parallel_envelope.hpp"
 #include "machine/faults.hpp"
 #include "pieces/envelope_serial.hpp"
 #include "poly/kernels.hpp"
-#include "steady/machine_geometry.hpp"
 #include "support/fatal.hpp"
 #include "support/flags.hpp"
 #include "support/rng.hpp"
@@ -79,10 +74,7 @@ using namespace dyncg;
 
 struct Options {
   std::string command;
-  std::size_t n = 8;
-  int k = 2;
-  std::size_t d = 2;
-  std::uint64_t seed = 1;
+  ScenarioSpec scenario;  // --seed/--n/--d/--k
   std::string machine = "mesh";
   std::size_t query = 0;
   bool farthest = false;
@@ -125,13 +117,13 @@ Options parse(int argc, char** argv) {
   flags::Walker args(argc, argv, 2, usage);
   while (args.next()) {
     if (args.is("--n")) {
-      o.n = static_cast<std::size_t>(args.integer(1, kMaxSize));
+      o.scenario.n = static_cast<std::size_t>(args.integer(1, kMaxSize));
     } else if (args.is("--k")) {
-      o.k = static_cast<int>(args.integer(0, 64));
+      o.scenario.k = static_cast<int>(args.integer(0, 64));
     } else if (args.is("--d")) {
-      o.d = static_cast<std::size_t>(args.integer(1, 64));
+      o.scenario.d = static_cast<std::size_t>(args.integer(1, 64));
     } else if (args.is("--seed")) {
-      o.seed = static_cast<std::uint64_t>(args.integer(0, kMaxSize));
+      o.scenario.seed = static_cast<std::uint64_t>(args.integer(0, kMaxSize));
     } else if (args.is("--machine")) {
       o.machine = args.value();
       if (o.machine != "mesh" && o.machine != "hypercube" &&
@@ -203,12 +195,6 @@ Machine make_machine(const Options& o, std::size_t capacity) {
   return build_or_exit(plan_machine(o.machine, capacity));
 }
 
-// The machine a query runs on — the one the serving engine builds for the
-// same scenario (dyncg/query_machine.hpp).
-Machine query_machine(const Options& o, Query query, const MotionSystem& sys) {
-  return build_or_exit(plan_query_machine(query, sys, o.machine));
-}
-
 // Attach the --faults plan (the DYNCG_FAULTS env plan is picked up by the
 // Machine constructor on its own).
 void arm(Machine& m) {
@@ -221,124 +207,48 @@ void report_cost(const Machine& m, const CostSnapshot& cost) {
   if (g_fault_report) std::fputs(m.fault_report().c_str(), stdout);
 }
 
-StatusOr<MotionSystem> make_system(const Options& o) {
-  if (!o.file.empty()) return try_load_motion_system(o.file);
-  Rng rng(o.seed);
-  return random_motion_system(rng, o.n, o.d, o.k);
-}
-
-int cmd_neighbor(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = query_machine(o, Query::kNeighbor, sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  StatusOr<NeighborSequence> seq =
-      try_neighbor_sequence(m, sys.value(), o.query, o.farthest);
-  if (!seq.is_ok()) return fail(seq.status());
-  std::printf("%s\n", seq.value().to_string().c_str());
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_pairs(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = query_machine(o, Query::kPairs, sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  PairSequence seq = closest_pair_sequence(m, sys.value(), o.farthest);
-  std::printf("%s\n", seq.to_string().c_str());
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_collisions(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = query_machine(o, Query::kCollisions, sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  StatusOr<CollisionReport> rep = try_collision_times(m, sys.value(), o.query);
-  if (!rep.is_ok()) return fail(rep.status());
-  if (rep.value().events.empty()) {
-    std::printf("no collisions for P%zu\n", o.query);
+StatusOr<MotionSystem> make_system(const Options& o, Query query) {
+  if (o.file.empty()) return scenario_system(query, o.scenario);
+  if (generator_only(query)) {
+    return Status::invalid_argument(
+        "steady takes generator scenarios only (--seed/--n/--k; the survey "
+        "builds diverging motion itself), not --file");
   }
-  for (const CollisionEvent& e : rep.value().events) {
-    std::printf("t = %10.4f  P%zu <-> P%zu\n", e.time, o.query, e.other);
-  }
-  report_cost(m, meter.elapsed());
-  return 0;
+  return try_load_motion_system(o.file);
 }
 
-int cmd_hullwhen(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
+// One of the six motion queries, on the machine the serving engine builds
+// for the same scenario and with the text it serves
+// (dyncg/query_machine.hpp), followed by the cost line.
+int cmd_query(const Options& o, Query query) {
+  StatusOr<MotionSystem> sys = make_system(o, query);
   if (!sys.is_ok()) return fail(sys.status());
-  Machine m = query_machine(o, Query::kHullwhen, sys.value());
+  Machine m = build_or_exit(plan_query_machine(query, sys.value(), o.machine));
   arm(m);
   CostMeter meter(m.ledger());
-  StatusOr<IntervalSet> hit =
-      try_hull_membership_intervals(m, sys.value(), o.query);
-  if (!hit.is_ok()) return fail(hit.status());
-  std::printf("P%zu is a hull vertex during %s\n", o.query,
-              hit.value().to_string().c_str());
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_contain(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = query_machine(o, Query::kContain, sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  if (!o.box.empty()) {
-    std::vector<double> dims = o.box;
-    dims.resize(sys.value().dimension(), o.box.back());
-    StatusOr<IntervalSet> J = try_containment_intervals(m, sys.value(), dims);
-    if (!J.is_ok()) return fail(J.status());
-    std::printf("fits the box during %s\n", J.value().to_string().c_str());
-  } else {
-    SmallestCube cube = smallest_enclosing_cube(m, sys.value());
-    std::printf("smallest enclosing cube: edge %.4f at t = %.4f\n", cube.edge,
-                cube.time);
-  }
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_steady(const Options& o) {
-  Rng rng(o.seed);
-  MotionSystem sys = diverging_motion_system(rng, o.n, std::max(1, o.k));
-  Machine m = query_machine(o, Query::kSteady, sys);
-  arm(m);
-  CostMeter meter(m.ledger());
-  std::printf("steady NN of P%zu: P%zu\n", o.query,
-              machine_steady_neighbor(m, sys, o.query, o.farthest));
-  auto hull = machine_steady_hull_ids(m, sys);
-  std::printf("steady hull: ");
-  for (std::size_t id : hull) std::printf("P%zu ", id);
-  std::printf("\n");
-  auto far = machine_steady_farthest_pair(m, sys);
-  std::printf("steady farthest pair: (P%zu, P%zu)\n", far.a, far.b);
+  StatusOr<std::string> text = answer_query(
+      m, query, sys.value(), QueryArgs{o.query, o.farthest, o.box});
+  if (!text.is_ok()) return fail(text.status());
+  std::fputs(text.value().c_str(), stdout);
   report_cost(m, meter.elapsed());
   return 0;
 }
 
 int cmd_envelope(const Options& o) {
-  Rng rng(o.seed);
+  const ScenarioSpec& sc = o.scenario;
+  Rng rng(sc.seed);
   std::vector<Polynomial> fns;
-  for (std::size_t i = 0; i < o.n; ++i) {
-    std::vector<double> c(static_cast<std::size_t>(o.k) + 1);
+  for (std::size_t i = 0; i < sc.n; ++i) {
+    std::vector<double> c(static_cast<std::size_t>(sc.k) + 1);
     for (double& x : c) x = rng.uniform(-2, 2);
     fns.push_back(Polynomial(c));
   }
   PolyFamily fam(std::move(fns));
-  Machine m = make_machine(o, lambda_upper_bound(ceil_pow2(o.n), o.k));
+  Machine m = make_machine(o, lambda_upper_bound(ceil_pow2(sc.n), sc.k));
   arm(m);
   CostMeter meter(m.ledger());
   StatusOr<PiecewiseFn> env =
-      try_parallel_envelope(m, fam, std::max(1, o.k),
+      try_parallel_envelope(m, fam, std::max(1, sc.k),
                             /*take_min=*/!o.farthest, nullptr, o.adaptive);
   if (!env.is_ok()) return fail(env.status());
   std::printf("%s envelope, %zu pieces:\n  %s\n",
@@ -349,7 +259,7 @@ int cmd_envelope(const Options& o) {
 }
 
 int cmd_topo(const Options& o) {
-  Machine m = make_machine(o, o.n);
+  Machine m = make_machine(o, o.scenario.n);
   const Topology& t = m.topology();
   std::printf("%s: %zu PEs, diameter %zu, unit shift %u rounds\n",
               t.name().c_str(), t.size(), t.diameter(), t.shift_rounds());
@@ -364,12 +274,12 @@ int cmd_topo(const Options& o) {
 }  // namespace
 
 int run_command(const Options& o) {
-  if (o.command == "neighbor") return cmd_neighbor(o);
-  if (o.command == "pairs") return cmd_pairs(o);
-  if (o.command == "collisions") return cmd_collisions(o);
-  if (o.command == "hullwhen") return cmd_hullwhen(o);
-  if (o.command == "contain") return cmd_contain(o);
-  if (o.command == "steady") return cmd_steady(o);
+  if (o.command == "neighbor") return cmd_query(o, Query::kNeighbor);
+  if (o.command == "pairs") return cmd_query(o, Query::kPairs);
+  if (o.command == "collisions") return cmd_query(o, Query::kCollisions);
+  if (o.command == "hullwhen") return cmd_query(o, Query::kHullwhen);
+  if (o.command == "contain") return cmd_query(o, Query::kContain);
+  if (o.command == "steady") return cmd_query(o, Query::kSteady);
   if (o.command == "envelope") return cmd_envelope(o);
   if (o.command == "topo") return cmd_topo(o);
   std::fprintf(stderr, "error: unknown command '%s'\n", o.command.c_str());

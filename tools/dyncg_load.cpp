@@ -286,10 +286,13 @@ int main(int argc, char** argv) {
       std::stringstream ss(args.value());
       std::string op;
       while (std::getline(ss, op, ',')) {
-        if (op != "neighbor" && op != "pairs" && op != "collisions" &&
-            op != "hullwhen" && op != "contain" && op != "steady") {
-          args.fail("unknown op '" + op + "'");
-        }
+        // Scenario ops only: the ones that ask a query.
+        const bool known = std::any_of(
+            std::begin(serve::kAllOps), std::end(serve::kAllOps),
+            [&](serve::Op o) {
+              return op == serve::op_name(o) && serve::query_of(o).is_ok();
+            });
+        if (!known) args.fail("unknown op '" + op + "'");
         ops.push_back(op);
       }
       if (ops.empty()) usage();

@@ -3,7 +3,9 @@
 #
 #   1. byte-identity  — a mixed batch (3 ops x 3 scenarios) served over the
 #      socket must decode to exactly the bytes dyncg_cli prints for the
-#      same scenarios (minus the CLI's trailing cost line);
+#      same scenarios (minus the CLI's trailing cost line); a second decode
+#      pass, after the counters below are pinned, covers the other three
+#      ops and a farthest variant;
 #   2. cache counters — after 3 identical passes plus the decode pass the
 #      server must report exactly 9 misses and 27 hits (FIFO cache +
 #      ordered stream = exact counters, docs/SERVING.md#cache);
@@ -68,6 +70,25 @@ diff "$dir/want" "$dir/got"
 echo '{"op":"stats","id":"s"}' > "$dir/statreq"
 "$LOAD" --port-file "$dir/port" --send "$dir/statreq" > "$dir/stats"
 grep -q '"hits":27,"misses":9,"evictions":0' "$dir/stats"
+
+# Second decode pass (fresh keys, after the counters are pinned): the
+# other three ops and a farthest variant, served bytes == CLI stdout.
+{
+  echo '{"op":"pairs","scenario":{"seed":4,"n":7,"k":1}}'
+  echo '{"op":"hullwhen","scenario":{"seed":5,"n":8,"k":2},"query":2}'
+  echo '{"op":"steady","scenario":{"seed":6,"n":8,"k":1},"query":1}'
+  echo '{"op":"neighbor","scenario":{"seed":7,"n":8,"k":2},"query":3,"farthest":true}'
+} > "$dir/uniq2"
+"$CHECK" --serve-request "$dir/uniq2" > /dev/null
+"$LOAD" --port-file "$dir/port" --send "$dir/uniq2" --decode \
+  --results-out "$dir/got2"
+{
+  "$CLI" pairs --seed 4 --n 7 --k 1 | sed '$d'
+  "$CLI" hullwhen --seed 5 --n 8 --k 2 --query 2 | sed '$d'
+  "$CLI" steady --seed 6 --n 8 --k 1 --query 1 | sed '$d'
+  "$CLI" neighbor --seed 7 --n 8 --k 2 --query 3 --farthest | sed '$d'
+} > "$dir/want2"
+diff "$dir/want2" "$dir/got2"
 
 # --- 3. error paths on a live connection ----------------------------------
 {
