@@ -144,6 +144,11 @@ std::vector<double> fit_box(std::span<const double> box,
 StatusOr<std::string> answer_query(Machine& m, Query query,
                                    const MotionSystem& system,
                                    const QueryArgs& args) {
+  if (takes_query_point(query) && args.query >= system.size()) {
+    return Status::invalid_argument(
+        "query index " + std::to_string(args.query) + " out of range [0, " +
+        std::to_string(system.size()) + ")");
+  }
   std::string out;
   switch (query) {
     case Query::kNeighbor: {
@@ -193,13 +198,12 @@ StatusOr<std::string> answer_query(Machine& m, Query query,
     case Query::kSteady: {
       appendf(&out, "steady NN of P%zu: P%zu\n", args.query,
               machine_steady_neighbor(m, system, args.query, args.farthest));
+      SteadyHullSurvey survey = machine_steady_hull_survey(m, system);
       out += "steady hull: ";
-      for (std::size_t id : machine_steady_hull_ids(m, system)) {
-        appendf(&out, "P%zu ", id);
-      }
+      for (std::size_t id : survey.hull_ids) appendf(&out, "P%zu ", id);
       out += "\n";
-      auto far = machine_steady_farthest_pair(m, system);
-      appendf(&out, "steady farthest pair: (P%zu, P%zu)\n", far.a, far.b);
+      appendf(&out, "steady farthest pair: (P%zu, P%zu)\n", survey.farthest.a,
+              survey.farthest.b);
       break;
     }
   }

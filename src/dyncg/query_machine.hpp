@@ -53,6 +53,12 @@ struct ScenarioSpec {
 // loaded or inline one: the steady-state survey.
 constexpr bool generator_only(Query query) { return query == Query::kSteady; }
 
+// Queries asked about one point of the system (QueryArgs::query): all but
+// pairs and contain.
+constexpr bool takes_query_point(Query query) {
+  return query != Query::kPairs && query != Query::kContain;
+}
+
 // The system `query` runs on for `spec`: diverging motion of degree
 // max(1, k) for steady, random_motion_system(n, d, k) for the others.
 MotionSystem scenario_system(Query query, const ScenarioSpec& spec);
@@ -95,7 +101,8 @@ std::vector<double> fit_box(std::span<const double> box,
 
 // Answers `query` for `system` on `m` and returns its text, one or more
 // '\n'-terminated lines (what dyncg_cli prints above its cost line).
-// Errors are the algorithms' own validation statuses.
+// Errors are the algorithms' own validation statuses, and INVALID_ARGUMENT
+// for a query point outside the system.
 StatusOr<std::string> answer_query(Machine& m, Query query,
                                    const MotionSystem& system,
                                    const QueryArgs& args);

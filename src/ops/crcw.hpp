@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "ops/sorting.hpp"
@@ -19,63 +21,49 @@
 // query slot).  A bitonic stage at element offset 2^k maps to a PE exchange
 // at offset 2^(k-1) (offset 1 is PE-local), so the doubled sort costs the
 // same Theta as the plain one.
+//
+// The emulation's only outputs are a keyed lookup and its charge, and the
+// charge does not depend on the data.  So the ledger is billed the
+// network's exact schedule (charge_concurrent_access: two doubled bitonic
+// sorts and one doubled scan, fault penalties included), while the answer
+// is computed on the host: the live data records are ordered by key with
+// std::stable_sort and each request is a binary search.  The executed
+// network survives as a test oracle (tests/crcw_network_oracle.hpp), and
+// the tests hold the two to the same answers and the same ledger.
 namespace dyncg {
 namespace ops {
 
-namespace detail {
-
-// Bitonic sort of a 2n-element file laid out two elements per PE.
-template <class T, class Less>
-void sort_doubled(Machine& m, std::vector<T>& elems, Less less) {
-  std::size_t n2 = elems.size();
-  DYNCG_ASSERT(n2 == 2 * m.size(), "doubled file must hold 2 per PE");
-  for (std::size_t size = 2; size <= n2; size <<= 1) {
-    std::size_t mask = size & (n2 - 1);
-    for (std::size_t stride = size >> 1; stride >= 1; stride >>= 1) {
-      if (stride == 1) {
-        m.charge_local(1);
-      } else {
-        m.charge_exchange(static_cast<unsigned>(floor_log2(stride)) - 1);
-        m.charge_local(1);
-      }
-      for (std::size_t r = 0; r < n2; ++r) {
-        std::size_t partner = r ^ stride;
-        if (partner <= r) continue;
-        bool ascending = (r & mask) == 0;
-        bool bad = ascending ? less(elems[partner], elems[r])
-                             : less(elems[r], elems[partner]);
-        if (bad) std::swap(elems[r], elems[partner]);
-      }
-    }
+// The charge of one concurrent access (read or write) on `m`: the doubled
+// sort by key, the doubled segmented scan, one local answer step and the
+// doubled sort home.  Exactly what the executed network bills.
+inline void charge_concurrent_access(Machine& m) {
+  const std::size_t n2 = 2 * m.size();
+  charge_bitonic_sort(m, /*slots=*/2);
+  for (int k = 0; k < floor_log2(n2); ++k) {
+    charge_bitonic_stage(m, std::size_t{1} << k, /*slots=*/2);
   }
+  m.charge_local(1);
+  charge_bitonic_sort(m, /*slots=*/2);
 }
 
-// Inclusive scan of a doubled file (2 elements per PE, rank order).
-template <class T, class Op>
-void prefix_doubled(Machine& m, std::vector<T>& elems, Op op) {
-  std::size_t n2 = elems.size();
-  DYNCG_ASSERT(n2 == 2 * m.size(), "doubled file must hold 2 per PE");
-  std::vector<T> total = elems;
-  int levels = floor_log2(n2);
-  for (int k = 0; k < levels; ++k) {
-    std::size_t stride = std::size_t{1} << k;
-    if (k == 0) {
-      m.charge_local(1);
-    } else {
-      m.charge_exchange(static_cast<unsigned>(k) - 1);
-      m.charge_local(1);
-    }
-    std::vector<T> incoming(total);
-    for (std::size_t r = 0; r < n2; ++r) {
-      std::size_t partner = r ^ stride;
-      if (r & stride) {
-        elems[r] = op(incoming[partner], elems[r]);
-        total[r] = op(incoming[partner], total[r]);
-      } else {
-        total[r] = op(total[r], incoming[partner]);
-      }
-    }
+namespace detail {
+
+// Ranks of the live records, ordered by key; equal keys stay in rank order.
+// std::stable_sort, not std::sort: some callers' key orders (DirKey over
+// germs) are not guaranteed strict weak orders, and std::sort's unguarded
+// partition may then run out of bounds, where a merge sort cannot.
+template <class Key, class Value>
+std::vector<std::size_t> ranks_by_key(
+    const std::vector<std::optional<std::pair<Key, Value>>>& records) {
+  std::vector<std::size_t> order;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    if (records[r].has_value()) order.push_back(r);
   }
+  std::stable_sort(order.begin(), order.end(),
+                   [&records](std::size_t a, std::size_t b) {
+                     return records[a]->first < records[b]->first;
+                   });
+  return order;
 }
 
 }  // namespace detail
@@ -83,11 +71,12 @@ void prefix_doubled(Machine& m, std::vector<T>& elems, Op op) {
 // Concurrent read.  PE r may own one (key, value) record (`data[r]`) and may
 // ask for one key (`queries[r]`).  Returns, aligned with the query PEs, the
 // value of the matching data record, or nullopt if no such key exists.
-// Keys need operator< and operator==; duplicate data keys return one of the
-// matching values.  With exact_match = false, the read returns the value of
-// the *predecessor* record (largest data key <= query key) — this is the
-// "grouping" operation the paper uses for multiple simultaneous searches on
-// ordered data (e.g. locating sectors in Lemma 5.5).
+// Keys need operator<.  With exact_match = false, the read returns the
+// value of the *predecessor* record (largest data key <= query key) — this
+// is the "grouping" operation the paper uses for multiple simultaneous
+// searches on ordered data (e.g. locating sectors in Lemma 5.5).  Where
+// several data records share the answering key, the read returns the one
+// on the highest-ranked PE.
 template <class Key, class Value>
 std::vector<std::optional<Value>> concurrent_read(
     Machine& m, const std::vector<std::optional<std::pair<Key, Value>>>& data,
@@ -96,69 +85,21 @@ std::vector<std::optional<Value>> concurrent_read(
   std::size_t n = m.size();
   DYNCG_ASSERT(data.size() == n && queries.size() == n,
                "register file size mismatch");
+  charge_concurrent_access(m);
 
-  struct Rec {
-    bool live = false;
-    Key key{};
-    int tag = 2;  // 0 = data, 1 = query; dead records sort last
-    std::size_t origin = 0;
-    std::optional<Value> value{};
-  };
-  auto rec_less = [](const Rec& a, const Rec& b) {
-    if (a.live != b.live) return a.live;  // dead records last
-    if (!a.live) return false;
-    if (a.key < b.key) return true;
-    if (b.key < a.key) return false;
-    return a.tag < b.tag;  // data before queries of the same key
-  };
-
-  std::vector<Rec> file(2 * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (data[r].has_value()) {
-      file[2 * r] = Rec{true, data[r]->first, 0, r, data[r]->second};
-    }
-    if (queries[r].has_value()) {
-      file[2 * r + 1] = Rec{true, *queries[r], 1, r, std::nullopt};
-    }
-  }
-  detail::sort_doubled(m, file, rec_less);
-
-  // Propagate each data record rightward to the queries it serves.
-  struct Carry {
-    bool has = false;
-    Key key{};
-    std::optional<Value> value{};
-  };
-  std::vector<Carry> carry(2 * n);
-  for (std::size_t i = 0; i < file.size(); ++i) {
-    if (file[i].live && file[i].tag == 0) {
-      carry[i] = Carry{true, file[i].key, file[i].value};
-    }
-  }
-  detail::prefix_doubled(m, carry, [](const Carry& a, const Carry& b) {
-    return b.has ? b : a;
-  });
-  m.charge_local(1);
-  for (std::size_t i = 0; i < file.size(); ++i) {
-    if (file[i].live && file[i].tag == 1 && carry[i].has) {
-      bool key_le = !(file[i].key < carry[i].key);
-      bool key_eq = key_le && !(carry[i].key < file[i].key);
-      if (exact_match ? key_eq : key_le) file[i].value = carry[i].value;
-    }
-  }
-
-  // Sort answers back to their requesters.
-  auto home_less = [](const Rec& a, const Rec& b) {
-    if (a.live != b.live) return a.live;
-    if (!a.live) return false;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    return a.tag < b.tag;
-  };
-  detail::sort_doubled(m, file, home_less);
-
+  std::vector<std::size_t> order = detail::ranks_by_key(data);
   std::vector<std::optional<Value>> out(n);
-  for (const Rec& rec : file) {
-    if (rec.live && rec.tag == 1) out[rec.origin] = rec.value;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (!queries[r].has_value()) continue;
+    const Key& q = *queries[r];
+    // Past the last data record whose key is not above q.
+    auto end = std::partition_point(
+        order.begin(), order.end(),
+        [&data, &q](std::size_t d) { return !(q < data[d]->first); });
+    if (end == order.begin()) continue;
+    const auto& [key, value] = *data[*(end - 1)];
+    if (exact_match && key < q) continue;
+    out[r] = value;
   }
   return out;
 }
@@ -167,6 +108,8 @@ std::vector<std::optional<Value>> concurrent_read(
 // (key, value) request; the returned file gives, for each key owner
 // (`owners[r]`), the op-combination of all values written to that key
 // (nullopt if none).  Models the combining CW the PRAM simulation needs.
+// `op` must be associative and commutative: the network combines a key's
+// values in an order of its own.
 template <class Key, class Value, class Op>
 std::vector<std::optional<Value>> concurrent_write(
     Machine& m,
@@ -174,76 +117,35 @@ std::vector<std::optional<Value>> concurrent_write(
     const std::vector<std::optional<Key>>& owners, Op op) {
   TRACE_SPAN_COST("ops.concurrent_write", m.ledger());
   std::size_t n = m.size();
-  struct Rec {
-    bool live = false;
-    Key key{};
-    int tag = 2;  // 0 = write request, 1 = owner slot
-    std::size_t origin = 0;
-    std::optional<Value> value{};
-  };
-  auto rec_less = [](const Rec& a, const Rec& b) {
-    if (a.live != b.live) return a.live;
-    if (!a.live) return false;
-    if (a.key < b.key) return true;
-    if (b.key < a.key) return false;
-    return a.tag < b.tag;  // requests before the owner slot
-  };
-  std::vector<Rec> file(2 * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (requests[r].has_value()) {
-      file[2 * r] = Rec{true, requests[r]->first, 0, r, requests[r]->second};
-    }
-    if (owners[r].has_value()) {
-      file[2 * r + 1] = Rec{true, *owners[r], 1, r, std::nullopt};
-    }
-  }
-  detail::sort_doubled(m, file, rec_less);
+  DYNCG_ASSERT(requests.size() == n && owners.size() == n,
+               "register file size mismatch");
+  charge_concurrent_access(m);
 
-  // Segmented combine within key groups; the owner slot (last of its group)
-  // picks up the inclusive combination.
-  struct Carry {
-    bool has = false;
-    Key key{};
-    std::optional<Value> acc{};
+  std::vector<std::size_t> order = detail::ranks_by_key(requests);
+  auto key_at = [&](std::size_t i) -> const Key& {
+    return requests[order[i]]->first;
   };
-  std::vector<Carry> carry(2 * n);
-  for (std::size_t i = 0; i < file.size(); ++i) {
-    if (file[i].live && file[i].tag == 0) {
-      carry[i] = Carry{true, file[i].key, file[i].value};
+  // Fold every key group once; group_total[i] is set at each group's start.
+  std::vector<std::optional<Value>> group_total(order.size());
+  for (std::size_t i = 0; i < order.size();) {
+    std::size_t j = i + 1;
+    Value acc = requests[order[i]]->second;
+    for (; j < order.size() && !(key_at(i) < key_at(j)); ++j) {
+      acc = op(acc, requests[order[j]]->second);
     }
+    group_total[i] = std::move(acc);
+    i = j;
   }
-  detail::prefix_doubled(m, carry, [&op](const Carry& a, const Carry& b) {
-    if (!b.has) return a;
-    if (!a.has) return b;
-    bool same = !(a.key < b.key) && !(b.key < a.key);
-    if (!same) return b;
-    Carry c = b;
-    if (a.acc.has_value() && b.acc.has_value()) {
-      c.acc = op(*a.acc, *b.acc);
-    } else if (a.acc.has_value()) {
-      c.acc = a.acc;
-    }
-    return c;
-  });
-  m.charge_local(1);
-  for (std::size_t i = 0; i < file.size(); ++i) {
-    if (file[i].live && file[i].tag == 1 && carry[i].has) {
-      bool same = !(file[i].key < carry[i].key) && !(carry[i].key < file[i].key);
-      if (same) file[i].value = carry[i].acc;
-    }
-  }
-
-  auto home_less = [](const Rec& a, const Rec& b) {
-    if (a.live != b.live) return a.live;
-    if (!a.live) return false;
-    if (a.origin != b.origin) return a.origin < b.origin;
-    return a.tag < b.tag;
-  };
-  detail::sort_doubled(m, file, home_less);
 
   std::vector<std::optional<Value>> out(n);
-  for (const Rec& rec : file) {
-    if (rec.live && rec.tag == 1) out[rec.origin] = rec.value;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (!owners[r].has_value()) continue;
+    const Key& q = *owners[r];
+    auto lo = std::partition_point(
+        order.begin(), order.end(),
+        [&requests, &q](std::size_t d) { return requests[d]->first < q; });
+    if (lo == order.end() || q < requests[*lo]->first) continue;
+    out[r] = group_total[static_cast<std::size_t>(lo - order.begin())];
   }
   return out;
 }

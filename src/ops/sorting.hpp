@@ -29,25 +29,73 @@
 namespace dyncg {
 namespace ops {
 
-// One bitonic compare-exchange stage at offset 2^k inside each width-block.
-// `up(r)` gives the sort direction of rank r's subsequence.
-template <class T, class Less>
-void bitonic_stage(Machine& m, std::vector<T>& regs, unsigned k,
-                   std::size_t size_mask, Less less) {
-  std::size_t n = m.size();
-  std::size_t stride = std::size_t{1} << k;
-  m.charge_exchange(k);
+// --- the bitonic schedule ----------------------------------------------------
+
+// Walks Batcher's bitonic network over aligned blocks of `width` elements
+// (a power of two), calling stage(stride, size_mask) once per
+// compare-exchange stage in network order.  A stage pairs elements
+// {r, r ^ stride}; element r's subsequence sorts ascending iff
+// (r & size_mask) == 0.  The schedule depends on the width alone, so every
+// executed sort and every charge-only one walk the same stages.
+template <class Stage>
+void walk_bitonic_schedule(std::size_t width, Stage&& stage) {
+  for (std::size_t size = 2; size <= width; size <<= 1) {
+    // Directions are block-local: the final (size == width) pass must sort
+    // every block ascending, so the mask is reduced modulo the block.
+    std::size_t mask = size & (width - 1);
+    for (std::size_t stride = size >> 1; stride >= 1; stride >>= 1) {
+      stage(stride, mask);
+    }
+  }
+}
+
+// The price of one stage over a file holding `slots` elements per PE (a
+// power of two): element strides below `slots` are PE-local
+// compare-exchanges; a stride of slots * 2^k is a PE exchange at offset 2^k.
+inline void charge_bitonic_stage(Machine& m, std::size_t stride,
+                                 std::size_t slots) {
+  if (stride >= slots) {
+    m.charge_exchange(static_cast<unsigned>(floor_log2(stride / slots)));
+  }
   m.charge_local(1);
+}
+
+// Charge-only bitonic sort: bills exactly what bitonic_sort (slots == 1) or
+// bitonic_sort_slotted bills for sorting a whole file with `slots` elements
+// per PE, and touches no data.  Fault penalties are paid as the executed
+// sort pays them.
+inline void charge_bitonic_sort(Machine& m, std::size_t slots = 1) {
+  walk_bitonic_schedule(m.size() * slots,
+                        [&m, slots](std::size_t stride, std::size_t) {
+                          charge_bitonic_stage(m, stride, slots);
+                        });
+}
+
+// One executed compare-exchange stage over the whole file; charges nothing.
+template <class T, class Less>
+void compare_exchange_stage(std::vector<T>& elems, std::size_t stride,
+                            std::size_t size_mask, Less& less) {
   // Compare-exchange pairs {r, r ^ stride} partition the ranks, and only the
   // lower rank of each pair acts, so the iterations touch disjoint slots.
-  parallel_for(n, [&](std::size_t r) {
+  parallel_for(elems.size(), [&](std::size_t r) {
     std::size_t partner = r ^ stride;
     if (partner <= r) return;
     bool ascending = (r & size_mask) == 0;
-    bool out_of_order = ascending ? less(regs[partner], regs[r])
-                                  : less(regs[r], regs[partner]);
-    if (out_of_order) std::swap(regs[r], regs[partner]);
+    bool out_of_order = ascending ? less(elems[partner], elems[r])
+                                  : less(elems[r], elems[partner]);
+    if (out_of_order) std::swap(elems[r], elems[partner]);
   }, kRegisterLoopGrain);
+}
+
+// The network alone: sorts `elems` exactly as bitonic_sort would and
+// charges nothing.  For callers that bill a longer schedule in one piece
+// (machine_hull_dual).
+template <class T, class Less = std::less<T>>
+void bitonic_network(std::vector<T>& elems, Less less = Less{}) {
+  walk_bitonic_schedule(elems.size(), [&](std::size_t stride,
+                                          std::size_t mask) {
+    compare_exchange_stage(elems, stride, mask, less);
+  });
 }
 
 // Bitonic sort of each aligned width-block, ascending in rank order.
@@ -59,15 +107,10 @@ void bitonic_sort(Machine& m, std::vector<T>& regs, Less less = Less{},
   if (width == 0) width = n;
   check_block(n, width);
   DYNCG_ASSERT(regs.size() == n, "register file size mismatch");
-  for (std::size_t size = 2; size <= width; size <<= 1) {
-    // Directions are block-local: the final (size == width) pass must sort
-    // every block ascending, so the mask is reduced modulo the block.
-    std::size_t mask = size & (width - 1);
-    for (std::size_t stride = size >> 1; stride >= 1; stride >>= 1) {
-      bitonic_stage(m, regs, static_cast<unsigned>(floor_log2(stride)),
-                    mask, less);
-    }
-  }
+  walk_bitonic_schedule(width, [&](std::size_t stride, std::size_t mask) {
+    charge_bitonic_stage(m, stride, /*slots=*/1);
+    compare_exchange_stage(regs, stride, mask, less);
+  });
 }
 
 // Merge: each width-block consists of two ascending halves; on return the
@@ -96,8 +139,8 @@ void bitonic_merge(Machine& m, std::vector<T>& regs, Less less = Less{},
   // One bitonic merge pass over the (now bitonic) block, ascending
   // everywhere (mask 0).
   for (std::size_t stride = half; stride >= 1; stride >>= 1) {
-    bitonic_stage(m, regs, static_cast<unsigned>(floor_log2(stride)),
-                  /*size_mask=*/0, less);
+    charge_bitonic_stage(m, stride, /*slots=*/1);
+    compare_exchange_stage(regs, stride, /*size_mask=*/0, less);
   }
 }
 
@@ -183,7 +226,8 @@ void shearsort(Machine& m, std::vector<T>& regs, Less less = Less{}) {
 // two).  Element-level strides below `slots` are PE-local compare-exchanges;
 // a stride of slots * 2^k is a PE exchange at offset 2^k, so the Theta cost
 // matches the one-element-per-PE sort for constant slots.  Used wherever a
-// PE owns O(1) records (collision roots, concurrent-access files).
+// PE owns O(1) records (collision roots, all-pairs files);
+// charge_bitonic_sort prices the concurrent-access files of crcw.hpp.
 template <class T, class Less = std::less<T>>
 void bitonic_sort_slotted(Machine& m, std::vector<T>& elems,
                           std::size_t slots, Less less = Less{}) {
@@ -192,25 +236,10 @@ void bitonic_sort_slotted(Machine& m, std::vector<T>& elems,
   DYNCG_ASSERT(slots >= 1 && (slots & (slots - 1)) == 0,
                "slots must be a power of two");
   DYNCG_ASSERT(total == m.size() * slots, "slotted file size mismatch");
-  for (std::size_t size = 2; size <= total; size <<= 1) {
-    std::size_t mask = size & (total - 1);
-    for (std::size_t stride = size >> 1; stride >= 1; stride >>= 1) {
-      if (stride < slots) {
-        m.charge_local(1);
-      } else {
-        m.charge_exchange(static_cast<unsigned>(floor_log2(stride / slots)));
-        m.charge_local(1);
-      }
-      parallel_for(total, [&](std::size_t r) {
-        std::size_t partner = r ^ stride;
-        if (partner <= r) return;
-        bool ascending = (r & mask) == 0;
-        bool bad = ascending ? less(elems[partner], elems[r])
-                             : less(elems[r], elems[partner]);
-        if (bad) std::swap(elems[r], elems[partner]);
-      }, kRegisterLoopGrain);
-    }
-  }
+  walk_bitonic_schedule(total, [&](std::size_t stride, std::size_t mask) {
+    charge_bitonic_stage(m, stride, slots);
+    compare_exchange_stage(elems, stride, mask, less);
+  });
 }
 
 // Randomized sort with the cost model of [Reif and Valiant 1987]: the data

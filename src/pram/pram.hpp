@@ -31,9 +31,10 @@ class CrewPram {
   std::uint64_t steps_ = 0;
 };
 
-// Rounds one emulated PRAM step costs on the host machine, measured by
-// running one full-load sort-based concurrent read + concurrent write on
-// `host` (Section 2.6 emulation).
+// Rounds one emulated PRAM step costs on the host machine: one sort-based
+// concurrent read + concurrent write on `host` (Section 2.6 emulation),
+// charged to its ledger.  The emulation's schedule does not depend on the
+// access pattern, so it is charged without being executed.
 std::uint64_t crcw_step_rounds(Machine& host);
 
 struct DirectSimulationCost {

@@ -575,8 +575,7 @@ StatusOr<Request> parse_request(const std::string& line) {
       r.system = scenario_system(query, sc.spec);
     }
   }
-  if (r.op != Op::kPairs && r.op != Op::kContain &&
-      r.query >= r.system->size()) {
+  if (takes_query_point(query) && r.query >= r.system->size()) {
     return bad("query index " + std::to_string(r.query) +
                " out of range [0, " + std::to_string(r.system->size()) + ")");
   }

@@ -7,6 +7,7 @@
 #include "ops/sorting.hpp"
 #include "poly/rational_germ.hpp"
 #include "steady/static_geometry.hpp"
+#include "support/trace.hpp"
 
 // Convex hull by point-line duality over a generic ordered field.
 //
@@ -159,36 +160,30 @@ std::vector<LinePiece<Field>> combine(const std::vector<LinePiece<Field>>& f,
   return out;
 }
 
-}  // namespace dual_detail
-
-// Final compaction charge (one ladder); defined in dual_hull.cpp.
-void geom_detail_charge_pack(Machine& m);
-
-// Envelope of the lines c_i + s_i u (ids = indices), lower (take_min) or
-// upper.  The machine runs the Theorem 3.2 recursion with s = 1 charges.
+// The Theorem 3.2 recursion over n lines with s = 1, on strings that start
+// at width max(1, P / ceil_pow2(n)) PEs and double every level.  Computes
+// only; charge_line_envelope bills it.
 template <class Field>
-std::vector<LinePiece<Field>> machine_line_envelope(
-    Machine& m, const std::vector<Field>& slopes,
-    const std::vector<Field>& intercepts, bool take_min) {
+std::vector<LinePiece<Field>> line_envelope(std::size_t P,
+                                            const std::vector<Field>& slopes,
+                                            const std::vector<Field>& intercepts,
+                                            bool take_min) {
   std::size_t n = slopes.size();
-  DYNCG_ASSERT(n >= 1 && n <= m.size(), "need 1 <= n <= P lines");
+  DYNCG_ASSERT(n >= 1 && n <= P, "need 1 <= n <= P lines");
   std::vector<std::vector<LinePiece<Field>>> level;
   level.reserve(n);
-  m.charge_local(1);
   for (std::size_t i = 0; i < n; ++i) {
     level.push_back({LinePiece<Field>{slopes[i], intercepts[i],
                                       static_cast<int>(i), true, true,
                                       Field{}, Field{}}});
   }
-  std::size_t width = std::max<std::size_t>(1, m.size() / ceil_pow2(n));
+  std::size_t width = std::max<std::size_t>(1, P / ceil_pow2(n));
   while (level.size() > 1) {
     width *= 2;
-    envelope_detail::charge_combine_level(m, std::min(width, m.size()),
-                                          /*s_bound=*/1);
     std::vector<std::vector<LinePiece<Field>>> next;
     next.reserve((level.size() + 1) / 2);
     for (std::size_t b = 0; b + 1 < level.size(); b += 2) {
-      next.push_back(dual_detail::combine(level[b], level[b + 1], take_min));
+      next.push_back(combine(level[b], level[b + 1], take_min));
       DYNCG_ASSERT(next.back().size() <= 2 * width,
                    "line envelope exceeded lambda(n,1)");
     }
@@ -196,6 +191,31 @@ std::vector<LinePiece<Field>> machine_line_envelope(
     level.swap(next);
   }
   return std::move(level[0]);
+}
+
+}  // namespace dual_detail
+
+// The charge of one line envelope over n lines on `m`: one local step, then
+// one s = 1 combine level per halving of the n strings.  Defined in
+// dual_hull.cpp.
+void charge_line_envelope(Machine& m, std::size_t n);
+
+// Everything machine_hull_dual bills for n points on `m`: the bitonic sort
+// by x, the upper and lower line envelopes and the final pack of the two
+// chains into one string.  A function of n and the machine only, so a
+// caller that reuses a hull can bill its construction again exactly.
+void charge_hull_dual(Machine& m, std::size_t n);
+
+// Envelope of the lines c_i + s_i u (ids = indices), lower (take_min) or
+// upper.  The machine runs the Theorem 3.2 recursion with s = 1 charges.
+template <class Field>
+std::vector<LinePiece<Field>> machine_line_envelope(
+    Machine& m, const std::vector<Field>& slopes,
+    const std::vector<Field>& intercepts, bool take_min) {
+  DYNCG_ASSERT(slopes.size() >= 1 && slopes.size() <= m.size(),
+               "need 1 <= n <= P lines");
+  charge_line_envelope(m, slopes.size());
+  return dual_detail::line_envelope(m.size(), slopes, intercepts, take_min);
 }
 
 // Convex hull of distinct points over an ordered field, in ccw order.
@@ -207,6 +227,8 @@ std::vector<Point2<Field>> machine_hull_dual(Machine& m,
   std::size_t n = pts.size();
   DYNCG_ASSERT(n >= 1 && n <= m.size(), "need 1 <= n <= P points");
   if (n <= 2) return pts;
+  // The whole schedule is billed up front; the phases below only compute.
+  charge_hull_dual(m, n);
 
   struct Slot {
     bool live = false;
@@ -214,11 +236,14 @@ std::vector<Point2<Field>> machine_hull_dual(Machine& m,
   };
   std::vector<Slot> regs(m.size());
   for (std::size_t i = 0; i < n; ++i) regs[i] = Slot{true, pts[i]};
-  ops::bitonic_sort(m, regs, [](const Slot& a, const Slot& b) {
-    if (a.live != b.live) return a.live;
-    if (!a.live) return false;
-    return lex_less(a.p, b.p);
-  });
+  {
+    TRACE_SPAN("ops.bitonic_sort");
+    ops::bitonic_network(regs, [](const Slot& a, const Slot& b) {
+      if (a.live != b.live) return a.live;
+      if (!a.live) return false;
+      return lex_less(a.p, b.p);
+    });
+  }
   std::vector<Point2<Field>> sorted;
   sorted.reserve(n);
   for (std::size_t r = 0; r < n; ++r) sorted.push_back(regs[r].p);
@@ -231,11 +256,10 @@ std::vector<Point2<Field>> machine_hull_dual(Machine& m,
     slopes.push_back(-p.x);
     intercepts.push_back(p.y);
   }
-  auto upper = machine_line_envelope(m, slopes, intercepts,
-                                     /*take_min=*/false);
-  auto lower = machine_line_envelope(m, slopes, intercepts,
-                                     /*take_min=*/true);
-  geom_detail_charge_pack(m);
+  auto upper = dual_detail::line_envelope(m.size(), slopes, intercepts,
+                                          /*take_min=*/false);
+  auto lower = dual_detail::line_envelope(m.size(), slopes, intercepts,
+                                          /*take_min=*/true);
 
   // Lower envelope walks the lower hull left-to-right, upper envelope the
   // upper hull right-to-left; ccw = lower chain + upper chain with the

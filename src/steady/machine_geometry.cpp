@@ -200,23 +200,27 @@ ClosestPairResult<AsymptoticPoly> machine_steady_closest_pair(
   return machine_closest_pair(m, germ_points(system));
 }
 
-std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
-                                                 const MotionSystem& system) {
+namespace {
+
+// The dual-envelope hull over the rational-germ field: Theta(sort)-grade
+// rounds, matching the Table 3 hull row (see steady/dual_hull.hpp).
+std::vector<Point2<RationalGerm>> steady_hull(Machine& m,
+                                              const MotionSystem& system) {
   TRACE_SPAN_COST("steady.hull", m.ledger());
-  // The dual-envelope hull over the rational-germ field: Theta(sort)-grade
-  // rounds, matching the Table 3 hull row (see steady/dual_hull.hpp).
-  std::vector<Point2<RationalGerm>> hull =
-      machine_hull_dual(m, germ_field_points(system));
+  return machine_hull_dual(m, germ_field_points(system));
+}
+
+std::vector<std::size_t> ids_of(const std::vector<Point2<RationalGerm>>& hull) {
   std::vector<std::size_t> ids;
   ids.reserve(hull.size());
   for (const auto& p : hull) ids.push_back(p.id);
   return ids;
 }
 
-ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
-    Machine& m, const MotionSystem& system) {
-  std::vector<Point2<RationalGerm>> hull =
-      machine_hull_dual(m, germ_field_points(system));
+// Corollary 5.7 after the hull: antipodal pairs and one max reduction.
+ClosestPairResult<AsymptoticPoly> farthest_pair_on_hull(
+    Machine& m, const MotionSystem& system,
+    const std::vector<Point2<RationalGerm>>& hull) {
   if (hull.size() == 2) {
     return ClosestPairResult<AsymptoticPoly>{
         hull[0].id, hull[1].id,
@@ -240,6 +244,33 @@ ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
       best.first, best.second,
       AsymptoticPoly(
           system.point(best.first).distance_squared(system.point(best.second)))};
+}
+
+}  // namespace
+
+std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
+                                                 const MotionSystem& system) {
+  return ids_of(steady_hull(m, system));
+}
+
+ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
+    Machine& m, const MotionSystem& system) {
+  return farthest_pair_on_hull(m, system,
+                               machine_hull_dual(m, germ_field_points(system)));
+}
+
+SteadyHullSurvey machine_steady_hull_survey(Machine& m,
+                                            const MotionSystem& system) {
+  std::vector<Point2<RationalGerm>> hull = steady_hull(m, system);
+  SteadyHullSurvey out{ids_of(hull), {}};
+  TRACE_SPAN_COST("steady.farthest_pair", m.ledger());
+  {
+    // Corollary 5.7 builds its own hull; bill that build without redoing it.
+    TRACE_SPAN_COST("steady.farthest_pair.hull_charge", m.ledger());
+    charge_hull_dual(m, system.size());
+  }
+  out.farthest = farthest_pair_on_hull(m, system, hull);
+  return out;
 }
 
 SteadyRectangle machine_steady_min_rectangle(Machine& m,

@@ -463,6 +463,17 @@ std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
                                                  const MotionSystem& system);
 ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
     Machine& m, const MotionSystem& system);
+
+// The hull and farthest-pair rows of the steady survey from one hull
+// build.  Answers and ledger are those of machine_steady_hull_ids followed
+// by machine_steady_farthest_pair: the farthest-pair phase bills the hull
+// it reuses (charge_hull_dual) instead of rebuilding it.
+struct SteadyHullSurvey {
+  std::vector<std::size_t> hull_ids;
+  ClosestPairResult<AsymptoticPoly> farthest;
+};
+SteadyHullSurvey machine_steady_hull_survey(Machine& m,
+                                            const MotionSystem& system);
 SteadyRectangle machine_steady_min_rectangle(Machine& m,
                                              const MotionSystem& system);
 

@@ -116,6 +116,42 @@ TEST(DualHull, CostIsSortGradeOnBothMachines) {
   }
 }
 
+// machine_hull_dual bills its whole schedule up front through
+// charge_hull_dual; the bill must be what the charged phases bill when run
+// one after another: the executed bitonic sort, the two line envelopes and
+// the pack ladder.
+TEST(DualHull, BillsWhatTheChargedPhasesBill) {
+  for (std::size_t n : {3u, 5u, 64u, 100u}) {
+    Rng rng(900 + n);
+    auto pts = random_points(rng, n);
+    for (bool mesh : {true, false}) {
+      Machine whole = mesh ? Machine::mesh_for(n) : Machine::hypercube_for(n);
+      machine_hull_dual(whole, pts);
+
+      Machine phased = mesh ? Machine::mesh_for(n) : Machine::hypercube_for(n);
+      std::vector<Point2<double>> regs(phased.size(), Point2<double>{0, 0, 0});
+      std::copy(pts.begin(), pts.end(), regs.begin());
+      ops::bitonic_sort(phased, regs, [](const auto& a, const auto& b) {
+        return a.x < b.x;
+      });
+      std::vector<double> slopes, intercepts;
+      for (const auto& p : pts) {
+        slopes.push_back(-p.x);
+        intercepts.push_back(p.y);
+      }
+      machine_line_envelope(phased, slopes, intercepts, /*take_min=*/false);
+      machine_line_envelope(phased, slopes, intercepts, /*take_min=*/true);
+      for (int k = 0; k < floor_log2(phased.size()); ++k) {
+        phased.charge_exchange(static_cast<unsigned>(k));
+      }
+      phased.charge_local(2);
+
+      EXPECT_EQ(whole.ledger().snapshot(), phased.ledger().snapshot())
+          << "n=" << n << (mesh ? " mesh" : " hypercube");
+    }
+  }
+}
+
 // Steady-state hull on the machine over germ coordinates: must match the
 // serial Lemma 5.1 reduction.
 class GermDualHullProperty : public ::testing::TestWithParam<int> {};

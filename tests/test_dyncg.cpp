@@ -10,6 +10,8 @@
 #include "dyncg/proximity.hpp"
 #include "dyncg/query_machine.hpp"
 #include "envelope/scenario_key.hpp"
+#include "machine/faults.hpp"
+#include "steady/machine_geometry.hpp"
 #include "support/rng.hpp"
 
 namespace dyncg {
@@ -459,6 +461,91 @@ TEST(QueryMachine, SteadyScenarioIgnoresDimension) {
             fingerprint(scenario_system(Query::kSteady, space)));
   EXPECT_EQ(scenario_system(Query::kNeighbor, space).dimension(), 3u);
 }
+
+TEST(QueryMachine, RefusesAQueryPointOutsideTheSystem) {
+  const ScenarioSpec spec{1, 6, 2, 1};
+  for (Query q : {Query::kNeighbor, Query::kCollisions, Query::kHullwhen,
+                  Query::kSteady}) {
+    MotionSystem sys = scenario_system(q, spec);
+    Machine m = build_machine(plan_query_machine(q, sys, "mesh").value());
+    StatusOr<std::string> got = answer_query(m, q, sys, QueryArgs{9, false, {}});
+    ASSERT_FALSE(got.is_ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().message(), "query index 9 out of range [0, 6)");
+    EXPECT_TRUE(answer_query(m, q, sys, QueryArgs{5, false, {}}).is_ok());
+  }
+  // pairs and contain ask about no single point, so the index is unused.
+  for (Query q : {Query::kPairs, Query::kContain}) {
+    MotionSystem sys = scenario_system(q, spec);
+    Machine m = build_machine(plan_query_machine(q, sys, "mesh").value());
+    EXPECT_TRUE(answer_query(m, q, sys, QueryArgs{9, false, {}}).is_ok());
+  }
+}
+
+// The steady survey builds the germ hull once and bills the farthest-pair
+// phase's hull without rebuilding it; its text and ledger must be those of
+// the three separate library calls, which build the hull twice.
+struct SurveyCase {
+  const char* family;
+  std::size_t n;
+  bool faulted;
+};
+
+class SteadySurvey : public ::testing::TestWithParam<SurveyCase> {};
+
+TEST_P(SteadySurvey, OneHullAnswersAndBillsLikeThreeCalls) {
+  const SurveyCase& c = GetParam();
+  const FaultPlan plan =
+      FaultPlan::parse("link:4-5@0..300,drop:6-7@3,pe:9@50..400").value();
+  for (int k : {1, 2}) {
+    MotionSystem sys =
+        scenario_system(Query::kSteady, ScenarioSpec{3, c.n, 2, k});
+    MachinePlan mp = plan_query_machine(Query::kSteady, sys, c.family).value();
+    const std::size_t query = c.n / 2;
+    Machine survey = build_machine(mp);
+    Machine separate = build_machine(mp);
+    survey.set_fault_plan(c.faulted ? &plan : nullptr);
+    separate.set_fault_plan(c.faulted ? &plan : nullptr);
+
+    std::string got =
+        answer_query(survey, Query::kSteady, sys, QueryArgs{query, false, {}}).value();
+
+    std::string want =
+        "steady NN of P" + std::to_string(query) + ": P" +
+        std::to_string(machine_steady_neighbor(separate, sys, query)) +
+        "\nsteady hull: ";
+    for (std::size_t id : machine_steady_hull_ids(separate, sys)) {
+      want += "P" + std::to_string(id) + " ";
+    }
+    auto far = machine_steady_farthest_pair(separate, sys);
+    want += "\nsteady farthest pair: (P" + std::to_string(far.a) + ", P" +
+            std::to_string(far.b) + ")\n";
+
+    EXPECT_EQ(got, want) << "k " << k;
+    EXPECT_EQ(survey.ledger().snapshot(), separate.ledger().snapshot())
+        << "k " << k;
+    EXPECT_EQ(survey.fault_report(), separate.fault_report()) << "k " << k;
+  }
+}
+
+std::vector<SurveyCase> survey_cases() {
+  std::vector<SurveyCase> cases;
+  for (const char* family : {"mesh", "hypercube", "ccc", "shuffle"}) {
+    for (std::size_t n : {2u, 3u, 5u, 64u, 300u}) {
+      cases.push_back(SurveyCase{family, n, false});
+    }
+  }
+  cases.push_back(SurveyCase{"mesh", 64, true});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndSizes, SteadySurvey, ::testing::ValuesIn(survey_cases()),
+    [](const ::testing::TestParamInfo<SurveyCase>& info) {
+      return std::string(info.param.family) + "N" +
+             std::to_string(info.param.n) +
+             (info.param.faulted ? "Faulted" : "");
+    });
 
 }  // namespace
 }  // namespace dyncg

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
+#include <string>
 
+#include "crcw_network_oracle.hpp"
 #include "machine/faults.hpp"
+#include "machine/other_topologies.hpp"
 #include "ops/basic.hpp"
 #include "ops/crcw.hpp"
 #include "ops/sorting.hpp"
@@ -437,6 +441,199 @@ TEST(OpsCrcw, CostTracksSort) {
   EXPECT_GE(cr.rounds, st.rounds);
   EXPECT_LE(cr.rounds, 6 * st.rounds);
 }
+
+// --- host-native CR/CW and the charge-only walker vs the executed network ---
+
+// One machine family at 64 PEs, bare or under a fault plan that every
+// family survives.  The plan outlives the machines built from it.
+struct NetworkCase {
+  const char* family;
+  bool faulted;
+};
+
+class CrcwNetworkOracle : public ::testing::TestWithParam<NetworkCase> {
+ protected:
+  static constexpr std::size_t kPes = 64;
+
+  Machine machine() const {
+    std::string_view family = GetParam().family;
+    std::shared_ptr<const Topology> topo =
+        family == "mesh"        ? make_mesh_for(kPes)
+        : family == "hypercube" ? make_hypercube_for(kPes)
+        : family == "ccc"       ? make_ccc_for(kPes)
+                                : make_shuffle_exchange_for(kPes);
+    Machine m(topo);
+    DYNCG_ASSERT(m.size() == kPes, "family built an unexpected size");
+    m.set_fault_plan(GetParam().faulted ? &plan_ : nullptr);
+    return m;
+  }
+
+  // Same ledger and same fault telemetry.
+  static void expect_same_bill(const Machine& got, const Machine& want) {
+    EXPECT_EQ(got.ledger().snapshot(), want.ledger().snapshot());
+    EXPECT_EQ(got.fault_report(), want.fault_report());
+  }
+
+  // Distinct keys (a shuffled stride), live on about 3/4 of the PEs.
+  static std::vector<std::optional<std::pair<long, long>>> distinct_data(
+      Rng& rng) {
+    std::vector<std::optional<std::pair<long, long>>> data(kPes);
+    auto perm = rng.permutation(kPes);
+    for (std::size_t r = 0; r < kPes; ++r) {
+      if (rng.uniform_int(0, 3) == 0) continue;
+      data[r] = std::pair<long, long>{7 * static_cast<long>(perm[r]) - 100,
+                                      rng.uniform_int(-1000, 1000)};
+    }
+    return data;
+  }
+
+  static std::vector<std::optional<long>> some_queries(Rng& rng) {
+    std::vector<std::optional<long>> queries(kPes);
+    for (auto& q : queries) {
+      if (rng.uniform_int(0, 3) != 0) q = rng.uniform_int(-120, 360);
+    }
+    return queries;
+  }
+
+  FaultPlan plan_ =
+      FaultPlan::parse("link:4-5@0..300,drop:6-7@3,pe:9@50..400").value();
+};
+
+TEST_P(CrcwNetworkOracle, WalkerBillsWhatTheExecutedSortsBill) {
+  Rng rng(5);
+  for (std::size_t slots : {1u, 2u, 4u}) {
+    std::vector<long> file(kPes * slots);
+    for (long& x : file) x = rng.uniform_int(0, 1 << 20);
+    Machine executed = machine();
+    if (slots == 2) {
+      crcw_oracle::sort_doubled(executed, file, std::less<long>{});
+    } else {
+      ops::bitonic_sort_slotted(executed, file, slots);
+    }
+    EXPECT_TRUE(std::is_sorted(file.begin(), file.end()));
+    Machine charged = machine();
+    ops::charge_bitonic_sort(charged, slots);
+    expect_same_bill(charged, executed);
+  }
+}
+
+TEST_P(CrcwNetworkOracle, ReadMatchesTheNetworkOnDistinctKeys) {
+  for (int seed = 0; seed < 4; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) + 101);
+    auto data = distinct_data(rng);
+    auto queries = some_queries(rng);
+    for (bool exact : {true, false}) {
+      Machine host = machine();
+      Machine network = machine();
+      auto got = ops::concurrent_read<long, long>(host, data, queries, exact);
+      auto want = crcw_oracle::concurrent_read<long, long>(network, data,
+                                                           queries, exact);
+      EXPECT_EQ(got, want) << "seed " << seed << " exact " << exact;
+      expect_same_bill(host, network);
+    }
+  }
+}
+
+TEST_P(CrcwNetworkOracle, WriteMatchesTheNetworkUnderPlus) {
+  for (int seed = 0; seed < 4; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) + 202);
+    std::vector<std::optional<std::pair<long, long>>> writes(kPes);
+    std::vector<std::optional<long>> owners(kPes);
+    for (std::size_t r = 0; r < kPes; ++r) {
+      if (rng.uniform_int(0, 4) != 0) {
+        writes[r] = std::pair<long, long>{rng.uniform_int(0, 12),
+                                          rng.uniform_int(-50, 50)};
+      }
+      // Some keys have several owners, some none, some no writers.
+      if (rng.uniform_int(0, 2) == 0) owners[r] = rng.uniform_int(0, 16);
+    }
+    auto plus = [](long a, long b) { return a + b; };
+    Machine host = machine();
+    Machine network = machine();
+    auto got = ops::concurrent_write<long, long>(host, writes, owners, plus);
+    auto want =
+        crcw_oracle::concurrent_write<long, long>(network, writes, owners, plus);
+    EXPECT_EQ(got, want) << "seed " << seed;
+    expect_same_bill(host, network);
+  }
+}
+
+TEST_P(CrcwNetworkOracle, DuplicateKeysReadOneMatchingValue) {
+  Rng rng(303);
+  std::vector<std::optional<std::pair<long, long>>> data(kPes);
+  for (std::size_t r = 0; r < kPes; r += 2) {
+    data[r] = std::pair<long, long>{rng.uniform_int(0, 5),
+                                    static_cast<long>(r)};  // value = rank
+  }
+  auto queries = some_queries(rng);
+  for (auto& q : queries) {
+    if (q) *q = *q % 8;
+  }
+  for (bool exact : {true, false}) {
+    Machine host = machine();
+    Machine network = machine();
+    auto got = ops::concurrent_read<long, long>(host, data, queries, exact);
+    auto want = crcw_oracle::concurrent_read<long, long>(network, data,
+                                                         queries, exact);
+    expect_same_bill(host, network);
+    for (std::size_t r = 0; r < kPes; ++r) {
+      if (!queries[r]) {
+        EXPECT_FALSE(got[r].has_value());
+        continue;
+      }
+      // The answering key: the query key, or its predecessor.
+      std::optional<long> key;
+      for (const auto& d : data) {
+        if (d && d->first <= *queries[r] && (!key || d->first > *key) &&
+            (!exact || d->first == *queries[r])) {
+          key = d->first;
+        }
+      }
+      ASSERT_EQ(got[r].has_value(), key.has_value()) << "PE " << r;
+      ASSERT_EQ(want[r].has_value(), key.has_value()) << "PE " << r;
+      if (!key) continue;
+      std::set<long> matching;
+      for (const auto& d : data) {
+        if (d && d->first == *key) matching.insert(d->second);
+      }
+      EXPECT_TRUE(matching.count(*got[r])) << "PE " << r;
+      EXPECT_TRUE(matching.count(*want[r])) << "PE " << r;
+      // The documented choice: the highest-ranked matching data PE.
+      EXPECT_EQ(*got[r], *matching.rbegin()) << "PE " << r;
+    }
+  }
+}
+
+TEST_P(CrcwNetworkOracle, ChargeOnlyAccessBillsOneNetworkAccess) {
+  Rng rng(404);
+  auto data = distinct_data(rng);
+  auto queries = some_queries(rng);
+  Machine network = machine();
+  crcw_oracle::concurrent_read<long, long>(network, data, queries);
+  Machine charged = machine();
+  ops::charge_concurrent_access(charged);
+  expect_same_bill(charged, network);
+  if (GetParam().faulted) {
+    // The plan is hit, so the equal bills include recovery penalties.
+    Machine bare = machine();
+    bare.set_fault_plan(nullptr);
+    ops::charge_concurrent_access(bare);
+    EXPECT_GT(charged.ledger().snapshot().rounds,
+              bare.ledger().snapshot().rounds);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, CrcwNetworkOracle,
+    ::testing::Values(NetworkCase{"mesh", false}, NetworkCase{"mesh", true},
+                      NetworkCase{"hypercube", false},
+                      NetworkCase{"hypercube", true}, NetworkCase{"ccc", false},
+                      NetworkCase{"ccc", true}, NetworkCase{"shuffle", false},
+                      NetworkCase{"shuffle", true}),
+    [](const ::testing::TestParamInfo<NetworkCase>& info) {
+      return std::string(info.param.family) +
+             (info.param.faulted ? "Faulted" : "Bare");
+    });
 
 }  // namespace
 }  // namespace dyncg

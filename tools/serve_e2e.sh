@@ -10,8 +10,9 @@
 #      server must report exactly 9 misses and 27 hits (FIFO cache +
 #      ordered stream = exact counters, docs/SERVING.md#cache);
 #   3. error paths    — malformed JSON, unknown ops, out-of-range
-#      scenarios, and over-long lines are rejected with the documented
-#      status names, and the connection stays usable afterwards;
+#      scenarios and query points, and over-long lines are rejected with
+#      the documented status names, and the connection stays usable
+#      afterwards; the CLI refuses the same query point with exit 3;
 #   4. shutdown       — both daemons exit 0 on SIGTERM;
 # plus schema validation of every request and response line exchanged
 # (dyncg_json_check --serve-request / --serve-response).
@@ -98,13 +99,22 @@ diff "$dir/want2" "$dir/got2"
   echo '{"op":"neighbor","query":"zero"}'
   echo '{"op":"pairs","machine":"ccc"}'
   echo '{"op":"neighbor","faults":"bogus:1@2"}'
+  echo '{"op":"steady","scenario":{"n":6,"k":1},"query":9}'
   echo '{"op":"ping","id":"still-alive"}'
 } > "$dir/errs"
 "$LOAD" --port-file "$dir/port" --send "$dir/errs" --results-out "$dir/errresp"
 "$CHECK" --serve-response "$dir/errresp" > /dev/null
 test "$(grep -c '"status":"PARSE_ERROR"' "$dir/errresp")" = 2
-test "$(grep -c '"status":"INVALID_ARGUMENT"' "$dir/errresp")" = 4
+test "$(grep -c '"status":"INVALID_ARGUMENT"' "$dir/errresp")" = 5
 grep -q '"id":"still-alive","status":"OK"' "$dir/errresp"
+
+# The CLI refuses the same out-of-range query point: exit 3, same message.
+msg='query index 9 out of range \[0, 6)'
+grep -q "$msg" "$dir/errresp"
+rc=0
+"$CLI" steady --n 6 --k 1 --query 9 > /dev/null 2> "$dir/clierr" || rc=$?
+test "$rc" = 3
+grep -q "$msg" "$dir/clierr"
 
 # --- 3b. admission: over-long lines against a tight max-line ---------------
 "$SERVE" --port-file "$dir/port2" --max-line 200 &
